@@ -23,13 +23,14 @@ race:
 # versioned-write races (lost Seq updates, RawPut orphaning, replication
 # history forks), the snapshot-scan/reader-writer latching tests, the
 # group-commit races (64 committers vs checkpoint/compact/hot-backup and
-# crash-durability of acked batches), and the server shutdown races (Close
-# vs in-flight dispatch vs cluster pushers, failover clients losing a mate
-# mid-session).
+# crash-durability of acked batches), the server shutdown races (Close
+# vs in-flight dispatch vs hot-link ships, failover clients losing a mate
+# mid-session), and the mesh ship path (direct ships, ships to databases
+# opened late, drops that kick catch-up rounds).
 stress:
 	$(GO) test -race -count=2 \
-		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites' \
-		./internal/core ./internal/repl ./internal/store ./internal/server ./internal/place ./internal/dir
+		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestHotLinkFiresOnWrite|TestHotLinkShipsDatabaseOpenedAfterAdd|TestSelectiveHotLinkShipsStubs|TestShipFailureKicksCatchUpRound|TestClusterPushReplication|TestClusterDatabaseOpenedAfterEnable|TestClusterDropSignalsCatchUp' \
+		./internal/core ./internal/repl ./internal/store ./internal/server ./internal/place ./internal/dir ./internal/mesh
 
 # Short native-fuzz smoke over the three parsers that guard trust boundaries:
 # the note codec (every WAL record and wire note passes through it), the

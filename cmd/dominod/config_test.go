@@ -61,7 +61,7 @@ fault  seed=7,sever=0.01,delay=0.1,maxdelay=5ms
 	if cfg.peers["spoke"] != "10.0.0.2:1352" {
 		t.Errorf("peers = %v", cfg.peers)
 	}
-	if len(cfg.jobs) != 1 || cfg.jobs[0].interval != 30*time.Second {
+	if len(cfg.jobs) != 1 || cfg.jobs[0].Interval != 30*time.Second {
 		t.Errorf("jobs = %+v", cfg.jobs)
 	}
 	if cfg.routeTick != 10*time.Second || cfg.catalogTick != 5*time.Minute {
@@ -224,6 +224,38 @@ topology /var/domino/mesh.topo
 	} {
 		if _, err := parseConfig(writeConf(t, body)); err == nil {
 			t.Errorf("config accepted: %q", body)
+		}
+	}
+}
+
+// TestConfigLinks: cluster, replicate and meshlink directives all become
+// mesh links. A replicate job to a cluster mate is cold, because the mate's
+// cluster link already ships every write.
+func TestConfigLinks(t *testing.T) {
+	cfg, err := parseConfig(writeConf(t, `
+name  hub
+data  /tmp/data
+cluster spoke
+replicate spoke apps/a.nsf 1m
+replicate rim apps/b.nsf 30s
+meshlink east rim *.nsf cold 5m pull Priority >= 3
+`))
+	if err != nil {
+		t.Fatalf("parseConfig: %v", err)
+	}
+	want := []mesh.Link{
+		{Name: "cluster-spoke", Peer: "spoke", Direction: mesh.Push, Class: mesh.Hot},
+		{Name: "replicate-spoke-apps/a.nsf", Peer: "spoke", Glob: "apps/a.nsf", Class: mesh.Cold, Interval: time.Minute},
+		{Name: "replicate-rim-apps/b.nsf", Peer: "rim", Glob: "apps/b.nsf", Class: mesh.Hot, Interval: 30 * time.Second},
+		{Name: "east", Peer: "rim", Glob: "*.nsf", Formula: "Priority >= 3", Direction: mesh.Pull, Class: mesh.Cold, Interval: 5 * time.Minute},
+	}
+	got := cfg.links()
+	if len(got) != len(want) {
+		t.Fatalf("links = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("link %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }

@@ -18,9 +18,9 @@
 //	db     apps/tickets.nsf Helpdesk        # pre-open path [title]
 //	ftindex apps/tickets.nsf                # full-text index this db at boot
 //	peer   spoke 10.0.0.2:1352              # peer name and address
-//	replicate spoke apps/tickets.nsf 30s    # periodic replication job
+//	replicate spoke apps/tickets.nsf 30s    # replicate one database both ways
 //	route  10s                              # router interval
-//	cluster spoke                           # event-driven push to this peer
+//	cluster spoke                           # ship every change to this mate
 //	catalog 5m                              # catalog refresh interval
 //	monitor 100                             # log an event every N changes per db
 //	agent  apps/tickets.nsf escalate 1m     # run a stored agent on a schedule
@@ -47,11 +47,19 @@
 //	topology /var/domino/mesh.topo          # shared topology file; this server
 //	                                        # takes the links it is the source of
 //
-// Mesh links (meshlink directives plus this server's lines of the topology
-// file) start the mesh scheduler: hot links replicate off the changefeed
-// (debounced), cold links run jittered anti-entropy rounds, and links to
-// unreachable peers back off behind a circuit breaker. Links can also be
-// added and removed at runtime with nsfadmin mesh.
+// All replication between servers runs on the mesh (package mesh): hot
+// links ship each committed local change to their peer, every link runs
+// rounds on its interval, and links to unreachable peers back off behind a
+// circuit breaker. meshlink directives and this server's topology-file
+// lines add links as written. cluster and replicate are mesh-link sugar:
+// "cluster MATE" is the hot Push link cluster-MATE over every replicable
+// database, and "replicate PEER DB INTERVAL" the Both link
+// replicate-PEER-DB, hot unless PEER is also a cluster mate (whose link
+// already ships every write), then cold. Cursors live under mesh/...
+// names, so a data directory last served by a build with the separate
+// cluster pusher and replicate jobs restarts each cursor once: each link's
+// first round compares its databases from the beginning. Links can also
+// be added and removed at runtime with nsfadmin mesh.
 //
 // The fault directive (or the -fault flag, which overrides it) wraps the
 // listener in a seeded fault injector — connections randomly dropped,
@@ -64,7 +72,7 @@
 //
 // Runtime quiesce/resume directives are delivered as signals: SIGUSR1
 // puts the server in RESTRICTED drain mode (new sessions refused, probes
-// answer RESTRICTED, in-flight work finishes, cluster pushers flush) and
+// answer RESTRICTED, in-flight work finishes, hot links ship their queues) and
 // SIGUSR2 resumes service. SIGTERM/SIGINT gracefully drain (bounded by
 // the drain timeout) before closing, so a planned restart shifts clients
 // to their failover mates instead of stranding them mid-request.
@@ -85,14 +93,7 @@ import (
 	domino "repro"
 	"repro/internal/faultnet"
 	"repro/internal/mesh"
-	"repro/internal/repl"
 )
-
-type replicaJob struct {
-	peer     string
-	dbPath   string
-	interval time.Duration
-}
 
 type config struct {
 	name        string
@@ -103,7 +104,7 @@ type config struct {
 	peers       map[string]string
 	preopen     [][2]string // path, title
 	ftindex     []string    // databases to full-text index at boot
-	jobs        []replicaJob
+	jobs        []mesh.Link // replicate directives, as hot links
 	routeTick   time.Duration
 	clusterWith []string
 	catalogTick time.Duration
@@ -136,6 +137,26 @@ type agentJob struct {
 	dbPath   string
 	name     string
 	interval time.Duration
+}
+
+// links maps the replication directives onto mesh links: a ClusterLink per
+// cluster mate, a Both link per replicate job (cold when its peer is also
+// a cluster mate, so each write ships once), then the meshlink links as
+// written.
+func (cfg *config) links() []mesh.Link {
+	var out []mesh.Link
+	mates := make(map[string]bool)
+	for _, mate := range cfg.clusterWith {
+		mates[strings.ToLower(mate)] = true
+		out = append(out, mesh.ClusterLink(mate))
+	}
+	for _, job := range cfg.jobs {
+		if mates[strings.ToLower(job.Peer)] {
+			job.Class = mesh.Cold
+		}
+		out = append(out, job)
+	}
+	return append(out, cfg.meshLinks...)
 }
 
 func parseConfig(path string) (*config, error) {
@@ -231,7 +252,8 @@ func parseConfig(path string) (*config, error) {
 			if err != nil {
 				return nil, bad(err.Error())
 			}
-			cfg.jobs = append(cfg.jobs, replicaJob{peer: fields[1], dbPath: fields[2], interval: d})
+			cfg.jobs = append(cfg.jobs, mesh.Link{Name: "replicate-" + fields[1] + "-" + fields[2],
+				Peer: fields[1], Glob: fields[2], Class: mesh.Hot, Interval: d})
 		case "route":
 			if len(fields) != 2 {
 				return nil, bad("route wants 1 argument")
@@ -407,6 +429,24 @@ func parseConfig(path string) (*config, error) {
 	return cfg, nil
 }
 
+// every runs task on a goroutine at each tick of interval until stop
+// closes; dominod's periodic tasks (router, agents, backup, catalog) share
+// it. Replication is not among them: the mesh schedules its own links.
+func every(stop <-chan struct{}, interval time.Duration, task func()) {
+	go func() {
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.C:
+				task()
+			}
+		}
+	}()
+}
+
 // clusterFlag collects repeatable -cluster name=addr mate declarations.
 type clusterFlag []string
 
@@ -498,27 +538,27 @@ func main() {
 		}
 	}
 	log.Printf("server %q serving %s on %s", cfg.name, cfg.data, addr)
-	if len(cfg.clusterWith) > 0 {
-		mates := make(map[string]string, len(cfg.clusterWith))
-		for _, name := range cfg.clusterWith {
-			peerAddr, ok := cfg.peers[strings.ToLower(name)]
-			if !ok {
-				log.Fatalf("dominod: cluster mate %q has no peer address", name)
-			}
-			mates[name] = peerAddr
+	for _, name := range cfg.clusterWith {
+		if _, ok := cfg.peers[strings.ToLower(name)]; !ok {
+			log.Fatalf("dominod: cluster mate %q has no peer address", name)
 		}
-		srv.EnableClustering(mates)
-		log.Printf("cluster push enabled to %v", cfg.clusterWith)
+	}
+	// A replicate job's database is opened (created if missing) so its
+	// link has something to replicate.
+	for _, job := range cfg.jobs {
+		if _, err := srv.OpenDB(job.Glob, domino.Options{}); err != nil {
+			log.Fatalf("dominod: replication db %s: %v", job.Glob, err)
+		}
 	}
 	if cfg.monitorN > 0 {
 		srv.EnableMonitor(cfg.monitorN)
 		log.Printf("event monitor enabled (threshold %d changes)", cfg.monitorN)
 	}
-	// Replication mesh: links from meshlink directives plus this server's
-	// lines of the shared topology file. A bad link (unknown peer is fine —
-	// the breaker handles that — but a bad formula or glob is not) is a
-	// startup error.
-	meshLinks := append([]mesh.Link(nil), cfg.meshLinks...)
+	// Replication mesh: links from the cluster, replicate and meshlink
+	// directives plus this server's lines of the shared topology file. A
+	// bad link (unknown peer is fine — the breaker handles that — but a bad
+	// formula or glob is not) is a startup error.
+	meshLinks := cfg.links()
 	if cfg.topoPath != "" {
 		tf, err := os.Open(cfg.topoPath)
 		if err != nil {
@@ -540,6 +580,8 @@ func main() {
 			if err := m.Add(l); err != nil {
 				log.Fatalf("dominod: mesh: %v", err)
 			}
+		}
+		for _, l := range m.Links() {
 			log.Printf("mesh link %s -> %s (glob %q %s %s every %s)",
 				l.Name, l.Peer, l.Glob, l.Class, l.Direction, l.Interval)
 		}
@@ -567,81 +609,17 @@ func main() {
 
 	stop := make(chan struct{})
 	// Router task.
-	go func() {
-		t := time.NewTicker(cfg.routeTick)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				st, err := srv.Router().RouteOnce()
-				if err != nil {
-					log.Printf("router: %v", err)
-					continue
-				}
-				if st.Delivered+st.Forwarded+st.DeadLetter > 0 {
-					log.Printf("router: delivered=%d forwarded=%d dead=%d",
-						st.Delivered, st.Forwarded, st.DeadLetter)
-				}
-			}
-		}
-	}()
-	// Replication jobs. Each job selects on its schedule AND on the
-	// database's changefeed: local writes trigger a prompt (debounced) push
-	// instead of waiting out the polling interval, while the ticker remains
-	// the catch-up path for remote changes and missed triggers.
-	triggers := make(map[string]*repl.ChangeTrigger)
-	for _, job := range cfg.jobs {
-		job := job
-		jobDB, err := srv.OpenDB(job.dbPath, domino.Options{})
+	every(stop, cfg.routeTick, func() {
+		st, err := srv.Router().RouteOnce()
 		if err != nil {
-			log.Fatalf("dominod: replication db %s: %v", job.dbPath, err)
+			log.Printf("router: %v", err)
+			return
 		}
-		trigger := repl.NewChangeTrigger(jobDB, 250*time.Millisecond)
-		triggers[strings.ToLower(job.peer)+"|"+job.dbPath] = trigger
-		go func() {
-			defer trigger.Stop()
-			t := time.NewTicker(job.interval)
-			defer t.Stop()
-			runOnce := func() {
-				addr, ok := cfg.peers[strings.ToLower(job.peer)]
-				if !ok {
-					log.Printf("replicator: no address for peer %s", job.peer)
-					return
-				}
-				st, err := srv.ReplicateWith(job.peer, addr, job.dbPath, repl.Options{})
-				if err != nil {
-					log.Printf("replicator %s %s: %v", job.peer, job.dbPath, err)
-					return
-				}
-				if st.NotesFetched+st.NotesSent > 0 {
-					log.Printf("replicator %s %s: %s", job.peer, job.dbPath, st)
-				}
-			}
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					runOnce()
-				case <-trigger.C():
-					runOnce()
-				}
-			}
-		}()
-	}
-	// When a cluster pusher drops an event (mate down, queue overflow), hand
-	// the change to the scheduled replicator for that mate and database so
-	// catch-up starts immediately instead of waiting out the interval.
-	if len(triggers) > 0 {
-		srv.OnClusterDrop(func(mate, dbPath string) {
-			if t, ok := triggers[strings.ToLower(mate)+"|"+dbPath]; ok {
-				t.Kick()
-			}
-		})
-	}
-
+		if st.Delivered+st.Forwarded+st.DeadLetter > 0 {
+			log.Printf("router: delivered=%d forwarded=%d dead=%d",
+				st.Delivered, st.Forwarded, st.DeadLetter)
+		}
+	})
 	// Agent scheduler: one manager per database (save triggers hook once),
 	// named agents run on their configured intervals.
 	managers := make(map[string]*domino.AgentManager)
@@ -659,26 +637,17 @@ func main() {
 			}
 			managers[job.dbPath] = mgr
 		}
-		go func() {
-			t := time.NewTicker(job.interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					stats, err := mgr.Run(job.name)
-					if err != nil {
-						log.Printf("agent %s in %s: %v", job.name, job.dbPath, err)
-						continue
-					}
-					if stats.Modified > 0 {
-						log.Printf("agent %s in %s: examined=%d selected=%d modified=%d",
-							job.name, job.dbPath, stats.Examined, stats.Selected, stats.Modified)
-					}
-				}
+		every(stop, job.interval, func() {
+			stats, err := mgr.Run(job.name)
+			if err != nil {
+				log.Printf("agent %s in %s: %v", job.name, job.dbPath, err)
+				return
 			}
-		}()
+			if stats.Modified > 0 {
+				log.Printf("agent %s in %s: examined=%d selected=%d modified=%d",
+					job.name, job.dbPath, stats.Examined, stats.Selected, stats.Modified)
+			}
+		})
 	}
 
 	// Scheduled backup task: sweep every open database into the backup
@@ -686,50 +655,32 @@ func main() {
 	// full image; the runs between append incrementals chained on the USN
 	// cursor, so between fulls only the delta is copied.
 	if cfg.backupTick > 0 {
-		go func() {
-			t := time.NewTicker(cfg.backupTick)
-			defer t.Stop()
-			run := 0
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					full := cfg.backupFullN == 0 || run%cfg.backupFullN == 0
-					run++
-					n, err := srv.BackupAll(cfg.backupDir, full)
-					kind := "incremental"
-					if full {
-						kind = "full"
-					}
-					if err != nil {
-						log.Printf("backup: %d databases (%s), first error: %v", n, kind, err)
-						continue
-					}
-					log.Printf("backup: %d databases (%s) into %s", n, kind, cfg.backupDir)
-				}
+		run := 0
+		every(stop, cfg.backupTick, func() {
+			full := cfg.backupFullN == 0 || run%cfg.backupFullN == 0
+			run++
+			n, err := srv.BackupAll(cfg.backupDir, full)
+			kind := "incremental"
+			if full {
+				kind = "full"
 			}
-		}()
+			if err != nil {
+				log.Printf("backup: %d databases (%s), first error: %v", n, kind, err)
+				return
+			}
+			log.Printf("backup: %d databases (%s) into %s", n, kind, cfg.backupDir)
+		})
 	}
 
 	// Catalog task.
 	if cfg.catalogTick > 0 {
-		go func() {
-			t := time.NewTicker(cfg.catalogTick)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					if n, err := srv.RefreshCatalog(); err != nil {
-						log.Printf("catalog: %v", err)
-					} else {
-						log.Printf("catalog: %d entries", n)
-					}
-				}
+		every(stop, cfg.catalogTick, func() {
+			if n, err := srv.RefreshCatalog(); err != nil {
+				log.Printf("catalog: %v", err)
+			} else {
+				log.Printf("catalog: %d entries", n)
 			}
-		}()
+		})
 	}
 
 	drainTimeout := cfg.drain

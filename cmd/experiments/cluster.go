@@ -9,13 +9,16 @@ import (
 	"time"
 
 	domino "repro"
-	"repro/internal/repl"
 )
 
-// T8 — change-propagation latency: event-driven cluster push vs scheduled
-// replication. The claim: clustering delivers saves to the mate in
+// T8 — change-propagation latency: a hot mesh link (the cluster sugar,
+// which ships each change directly) vs a cold link replicating on a fixed
+// interval. The claim: clustering delivers saves to the mate in
 // milliseconds, while a scheduled replicator's expected latency is half its
 // interval — which is why Domino clusters push.
+
+// t8Interval is the cold link's replication interval.
+const t8Interval = 400 * time.Millisecond
 
 type twoServers struct {
 	a, b         *domino.Server
@@ -24,7 +27,9 @@ type twoServers struct {
 	cleanup      func()
 }
 
-func newTwoServers(cluster bool) *twoServers {
+// newTwoServers boots alpha and beta sharing apps/t8.nsf. alpha reaches
+// beta over the cluster link when hot is set, else over a cold link.
+func newTwoServers(hot bool) *twoServers {
 	base, err := os.MkdirTemp("", "domino-t8")
 	if err != nil {
 		log.Fatal(err)
@@ -63,8 +68,18 @@ func newTwoServers(cluster bool) *twoServers {
 	}
 	ts.dbA.ACL().Set("beta", domino.Editor)
 	ts.dbB.ACL().Set("alpha", domino.Editor)
-	if cluster {
+	if hot {
 		ts.a.EnableClustering(map[string]string{"beta": ts.bAddr})
+	} else {
+		ts.a.SetPeers(map[string]string{"beta": ts.bAddr})
+		m, err := ts.a.EnableMesh(domino.MeshOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		err = m.Add(domino.MeshLink{Name: "t8-cold", Peer: "beta", Glob: "apps/t8.nsf", Interval: t8Interval})
+		if err != nil {
+			log.Fatal(err)
+		}
 	}
 	ts.cleanup = func() {
 		ts.a.Close()
@@ -75,8 +90,7 @@ func newTwoServers(cluster bool) *twoServers {
 }
 
 // measurePropagation creates docs on A and returns per-doc latencies until
-// each is visible on B; deliver is called between creations (for the
-// scheduled mode) and may be nil.
+// each is visible on B.
 func measurePropagation(ts *twoServers, docs int, spacing time.Duration) []time.Duration {
 	sess := ts.dbA.Session("ada")
 	latencies := make([]time.Duration, 0, docs)
@@ -113,39 +127,18 @@ func percentile(ds []time.Duration, p float64) time.Duration {
 
 func runT8(quick bool) {
 	docs := pick(quick, 12, 5)
-	interval := 400 * time.Millisecond
 
-	// Mode 1: cluster push.
 	ts := newTwoServers(true)
 	pushLat := measurePropagation(ts, docs, 20*time.Millisecond)
 	ts.cleanup()
 
-	// Mode 2: scheduled replication at a fixed interval (background loop,
-	// like dominod's replicate directive).
 	ts = newTwoServers(false)
-	stopRepl := make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopRepl:
-				return
-			case <-t.C:
-				_, err := ts.a.ReplicateWith("beta", ts.bAddr, "apps/t8.nsf", repl.Options{})
-				if err != nil {
-					log.Printf("t8 scheduled replicate: %v", err)
-				}
-			}
-		}
-	}()
 	schedLat := measurePropagation(ts, docs, 50*time.Millisecond)
-	close(stopRepl)
 	ts.cleanup()
 
 	t := newTable("mode", "docs", "median latency ms", "p95 ms")
-	t.add("cluster push", docs, ms(percentile(pushLat, 0.5)), ms(percentile(pushLat, 0.95)))
-	t.add(fmt.Sprintf("scheduled (every %s)", interval), docs,
+	t.add("cluster (hot link)", docs, ms(percentile(pushLat, 0.5)), ms(percentile(pushLat, 0.95)))
+	t.add(fmt.Sprintf("cold link (every %s)", t8Interval), docs,
 		ms(percentile(schedLat, 0.5)), ms(percentile(schedLat, 0.95)))
 	t.print()
 	fmt.Println("  (shape check: push delivers in milliseconds; scheduled latency centers")

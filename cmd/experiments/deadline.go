@@ -360,8 +360,8 @@ func w10WriteSafety(docs int) w10Result {
 	}
 	alpha, dbA := mk("alpha", "sa")
 	beta, dbB := mk("beta", "sb")
-	// Close alpha first so its cluster pusher stops before beta's listener
-	// goes away (the reverse order spams dial-refused push failures).
+	// Close alpha first so its cluster link stops before beta's listener
+	// goes away (the reverse order spams dial-refused ship failures).
 	defer beta.Close()
 	defer alpha.Close()
 

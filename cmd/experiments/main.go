@@ -30,7 +30,7 @@ var experiments = []experiment{
 	{"T5", "Reader-field enforcement overhead on view reads", runT5},
 	{"T6", "Mail routing throughput (local and cross-server)", runT6},
 	{"T7", "Formula evaluation cost by complexity", runT7},
-	{"T8", "Change propagation: cluster push vs scheduled replication", runT8},
+	{"T8", "Change propagation: hot link (cluster) vs cold link", runT8},
 	{"W1", "Write-path latency vs open change consumers (changefeed)", runW1},
 	{"W2", "Incremental view refresh vs rebuild under concurrent writers", runW2},
 	{"W3", "Online backup: incremental vs full cost, hot-backup interference, restore/PITR", runW3},

@@ -80,7 +80,6 @@ func newW8Cluster(names []string, planFor func(name string) faultnet.Plan) *w8Cl
 		nets: map[string]*faultnet.Net{}, mesh: map[string]*domino.Mesh{},
 		meshOpt: domino.MeshOptions{
 			Interval: 50 * time.Millisecond,
-			Debounce: 2 * time.Millisecond,
 			Cooldown: 250 * time.Millisecond,
 		},
 	}
@@ -313,7 +312,7 @@ func w8Churn(topoName string, servers, docsPer int, quick bool) w8Result {
 			res.Rounds += st.Rounds
 			res.LinkFailures += st.Failures
 			res.NotesIn += st.NotesIn
-			res.NotesOut += st.NotesOut
+			res.NotesOut += st.NotesOut + st.Shipped
 			res.BytesIn += st.BytesIn
 			res.BytesOut += st.BytesOut
 		}
@@ -387,7 +386,7 @@ func w8Selective(docs int) w8Result {
 		for _, st := range m.Status() {
 			res.Rounds += st.Rounds
 			res.NotesIn += st.NotesIn
-			res.NotesOut += st.NotesOut
+			res.NotesOut += st.NotesOut + st.Shipped
 		}
 	}
 	if stubs != len(edited) {

@@ -434,16 +434,7 @@ func cmdMesh(sub string, args []string) error {
 				fmt.Println(formatMeshLink(st.Link))
 				continue
 			}
-			line := fmt.Sprintf("%s rounds=%d fail=%d skipped=%d in=%d out=%d lag=%s",
-				formatMeshLink(st.Link), st.Rounds, st.Failures, st.SkippedDBs,
-				st.NotesIn, st.NotesOut, st.Lag.Round(time.Millisecond))
-			if st.BreakerOpen {
-				line += " BREAKER-OPEN"
-			}
-			if st.Note != "" {
-				line += " (" + st.Note + ")"
-			}
-			fmt.Println(line)
+			fmt.Println(st)
 		}
 		return nil
 	case "add":

@@ -4,7 +4,7 @@
 //
 // Every mutation the database commits is stamped with an update sequence
 // number (USN) and appended to a bounded in-memory ring. Consumers — view
-// indexes, the full-text index, change callbacks, cluster pushers —
+// indexes, the full-text index, change callbacks, mesh hot-link ships —
 // subscribe with a handler and catch up asynchronously on their own
 // goroutine, each tracking the USN it has applied through. The writer never
 // waits for a consumer: appends are O(1) and never block.

@@ -273,8 +273,8 @@ func (db *Database) OnChange(fn func(*nsf.Note)) *changefeed.Subscriber {
 			}
 		},
 		// Missed events cannot be replayed from a bounded feed; consumers
-		// with durability needs (cluster push) already have a catch-up path
-		// (the scheduled replicator).
+		// with durability needs (mesh hot-link ships) already have a
+		// catch-up path (the link's rounds).
 		ResyncFunc: func(uint64) error { return nil },
 	})
 }

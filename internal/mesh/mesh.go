@@ -1,10 +1,12 @@
 // Package mesh implements the epidemic replication mesh: a server's set of
 // replication links, each naming a peer, a database glob, an optional
 // selection formula, a direction, and a schedule class. Links gossip
-// changes pairwise — hot links fire off the local changefeed (debounced),
-// cold links run jittered anti-entropy rounds — and the whole mesh
-// converges every replica of a database to the same (UNID, Seq, SeqTime)
-// set, which the convergence audit fingerprints.
+// changes pairwise: every link runs jittered anti-entropy rounds, and a
+// hot link also ships each committed local change straight to its peer
+// (see ship.go). The whole mesh converges every replica of a database to
+// the same (UNID, Seq, SeqTime) set, which the convergence audit
+// fingerprints. Domino's cluster replicator is the hot-link schedule of
+// this one model, so cluster push is a hot Push link (ClusterLink).
 //
 // The scheduler respects the server's admission state (a draining node
 // stops originating rounds), backs off failing links exponentially, and
@@ -73,9 +75,10 @@ type Class uint8
 const (
 	// Cold links replicate on a jittered anti-entropy interval.
 	Cold Class = iota
-	// Hot links additionally fire off the local changefeed (debounced), so
-	// local writes propagate within the debounce window; the interval
-	// remains as the catch-up floor for changes that arrive at the peer.
+	// Hot links additionally ship each committed local change to the
+	// peer as it happens (unless the link only pulls); the interval
+	// remains the catch-up floor for failed ships and for changes made at
+	// the peer.
 	Hot
 )
 
@@ -120,9 +123,6 @@ type Link struct {
 	// Interval is the anti-entropy period (cold) or catch-up floor (hot).
 	// 0 uses the mesh default.
 	Interval time.Duration
-	// Debounce is the hot-link changefeed debounce window. 0 uses the mesh
-	// default.
-	Debounce time.Duration
 }
 
 // LinkStatus is a link's live scheduling and transfer state.
@@ -138,14 +138,34 @@ type LinkStatus struct {
 	BreakerOpen bool
 	// SkippedDBs counts databases skipped for replica-ID mismatch.
 	SkippedDBs uint64
-	// NotesIn/NotesOut count notes pulled/pushed over the link's lifetime.
+	// NotesIn/NotesOut count notes pulled/pushed by rounds over the link's
+	// lifetime.
 	NotesIn, NotesOut uint64
+	// Shipped counts changes a hot link shipped directly; Dropped counts
+	// changes whose ship failed (or overflowed the queue) and were left to
+	// the catch-up round.
+	Shipped, Dropped uint64
 	// BytesIn/BytesOut approximate transfer volume.
 	BytesIn, BytesOut uint64
 	// Lag is the time since the last successful round (0 before the first).
 	Lag time.Duration
 	// Note is the last error or noteworthy condition, "" when healthy.
 	Note string
+}
+
+// String renders the link's one-line status, as the monitor report and
+// nsfadmin mesh status print it.
+func (st LinkStatus) String() string {
+	s := fmt.Sprintf("%s -> %s: %s %s rounds=%d fail=%d skipped=%d in=%d out=%d shipped=%d dropped=%d lag=%s",
+		st.Name, st.Peer, st.Class, st.Direction, st.Rounds, st.Failures, st.SkippedDBs,
+		st.NotesIn, st.NotesOut, st.Shipped, st.Dropped, st.Lag.Round(time.Millisecond))
+	if st.BreakerOpen {
+		s += " BREAKER-OPEN"
+	}
+	if st.Note != "" {
+		s += " (" + st.Note + ")"
+	}
+	return s
 }
 
 // Node is the mesh's view of its local server.
@@ -171,16 +191,11 @@ type Session interface {
 	Close() error
 }
 
-// Dialer connects to peer servers by name.
-type Dialer interface {
-	Dial(peer string) (Session, error)
-}
-
-// DialFunc adapts a function to Dialer.
-type DialFunc func(peer string) (Session, error)
-
-// Dial implements Dialer.
-func (f DialFunc) Dial(peer string) (Session, error) { return f(peer) }
+// Dialer connects to a peer server by name. Sessions should fail fast,
+// without inner retries: a failed ship or round is retried by the link's
+// own backoff and breaker, and inner retries against a dead peer would
+// only stall Close and a drain.
+type Dialer func(peer string) (Session, error)
 
 // Options configure a mesh scheduler.
 type Options struct {
@@ -192,8 +207,6 @@ type Options struct {
 	Apply repl.ApplyOptions
 	// Interval is the default link interval (default 30s).
 	Interval time.Duration
-	// Debounce is the default hot-link debounce (default 50ms).
-	Debounce time.Duration
 	// BreakerAfter is the failure streak that opens the breaker (default 3).
 	BreakerAfter int
 	// Cooldown is how long an open breaker holds before a half-open probe.
@@ -207,9 +220,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.Interval <= 0 {
 		o.Interval = 30 * time.Second
-	}
-	if o.Debounce <= 0 {
-		o.Debounce = 50 * time.Millisecond
 	}
 	if o.BreakerAfter <= 0 {
 		o.BreakerAfter = 3
@@ -274,7 +284,8 @@ func (m *Mesh) Validate(l Link) error {
 	return nil
 }
 
-// Add validates the link and starts scheduling it.
+// Add validates the link and starts scheduling it; a hot link that pushes
+// also starts shipping the changes of every covered open database.
 func (m *Mesh) Add(l Link) error {
 	if err := m.Validate(l); err != nil {
 		return err
@@ -282,12 +293,10 @@ func (m *Mesh) Add(l Link) error {
 	if l.Interval <= 0 {
 		l.Interval = m.opts.Interval
 	}
-	if l.Debounce <= 0 {
-		l.Debounce = m.opts.Debounce
-	}
 	ls := &linkState{
 		link: l,
 		kick: make(chan struct{}, 1),
+		wake: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 	}
 	m.mu.Lock()
@@ -301,8 +310,19 @@ func (m *Mesh) Add(l Link) error {
 	}
 	m.links[l.Name] = ls
 	m.wg.Add(1)
-	m.mu.Unlock()
 	go m.run(ls)
+	if ls.ships() {
+		m.wg.Add(1)
+		go m.shipLoop(ls)
+	}
+	m.mu.Unlock()
+	if ls.ships() {
+		for _, p := range m.opts.Node.Paths() {
+			if db, err := m.opts.Node.Open(p); err == nil {
+				m.attach(ls, p, db)
+			}
+		}
+	}
 	m.logf("link %s: added (%s -> %s glob %q %s %s every %s)",
 		l.Name, m.opts.Node.Name(), l.Peer, l.Glob, l.Class, l.Direction, l.Interval)
 	return nil
@@ -334,21 +354,47 @@ func (m *Mesh) RunNow(name string) error {
 	if !ok {
 		return fmt.Errorf("mesh: no link %s", name)
 	}
-	select {
-	case ls.kick <- struct{}{}:
-	default:
-	}
+	ls.kickRound()
 	return nil
+}
+
+// Attach tells the mesh that a local database was opened, so every hot
+// link covering it ships its changes from now on instead of leaving them
+// to the next round. Attaching a database twice is a no-op.
+func (m *Mesh) Attach(path string, db *core.Database) {
+	for _, ls := range m.states() {
+		m.attach(ls, path, db)
+	}
+}
+
+// Flushed reports whether no hot link has a ship queued or in flight — the
+// condition a draining server waits for before it stops.
+func (m *Mesh) Flushed() bool {
+	for _, ls := range m.states() {
+		ls.mu.Lock()
+		busy := ls.queued > 0 || ls.shipping
+		ls.mu.Unlock()
+		if busy {
+			return false
+		}
+	}
+	return true
+}
+
+// states snapshots the running links.
+func (m *Mesh) states() []*linkState {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]*linkState, 0, len(m.links))
+	for _, ls := range m.links {
+		out = append(out, ls)
+	}
+	return out
 }
 
 // Status snapshots every link, sorted by name.
 func (m *Mesh) Status() []LinkStatus {
-	m.mu.Lock()
-	states := make([]*linkState, 0, len(m.links))
-	for _, ls := range m.links {
-		states = append(states, ls)
-	}
-	m.mu.Unlock()
+	states := m.states()
 	out := make([]LinkStatus, 0, len(states))
 	for _, ls := range states {
 		out = append(out, ls.status())

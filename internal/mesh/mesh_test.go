@@ -29,15 +29,21 @@ func newTestNode(t *testing.T, name string, paths map[string]nsf.ReplicaID) *tes
 	n := &testNode{name: name, dbs: make(map[string]*core.Database)}
 	n.admitted.Store(true)
 	for p, replica := range paths {
-		db, err := core.Open(filepath.Join(t.TempDir(), name+"-"+strings.ReplaceAll(p, "/", "_")),
-			core.Options{Title: p, ReplicaID: replica})
-		if err != nil {
-			t.Fatalf("Open %s/%s: %v", name, p, err)
-		}
-		t.Cleanup(func() { db.Close() })
-		n.dbs[p] = db
+		n.dbs[p] = openTestDB(t, p, replica)
 	}
 	return n
+}
+
+// openTestDB opens a fresh database replica that closes with the test.
+func openTestDB(t *testing.T, path string, replica nsf.ReplicaID) *core.Database {
+	t.Helper()
+	db, err := core.Open(filepath.Join(t.TempDir(), strings.ReplaceAll(path, "/", "_")),
+		core.Options{Title: path, ReplicaID: replica})
+	if err != nil {
+		t.Fatalf("Open %s: %v", path, err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
 }
 
 func (n *testNode) Name() string { return n.name }
@@ -63,6 +69,12 @@ func (n *testNode) Open(path string) (*core.Database, error) {
 }
 
 func (n *testNode) Admitted() bool { return n.admitted.Load() }
+
+func (n *testNode) add(path string, db *core.Database) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.dbs[path] = db
+}
 
 // testDialer reaches other testNodes directly, optionally failing.
 type testDialer struct {
@@ -135,9 +147,8 @@ func newMeshPair(t *testing.T) (*testNode, *testNode, *testDialer, *Mesh) {
 	d := &testDialer{nodes: map[string]*testNode{"alpha": a, "beta": b}}
 	m, err := New(Options{
 		Node:     a,
-		Dialer:   d,
+		Dialer:   d.Dial,
 		Interval: 20 * time.Millisecond,
-		Debounce: time.Millisecond,
 		Cooldown: 100 * time.Millisecond,
 	})
 	if err != nil {
@@ -166,13 +177,91 @@ func TestColdLinkConverges(t *testing.T) {
 
 func TestHotLinkFiresOnWrite(t *testing.T) {
 	a, b, _, m := newMeshPair(t)
-	// Interval far beyond the test: only the changefeed trigger can move it.
+	// Interval far beyond the test: only the direct ship can move it.
 	err := m.Add(Link{Name: "hot", Peer: "beta", Glob: "disc.nsf", Class: Hot, Interval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond) // let the trigger attach
 	createDoc(t, a.dbs["disc.nsf"], "instant")
+	waitConverged(t, map[string]*core.Database{"a": a.dbs["disc.nsf"], "b": b.dbs["disc.nsf"]}, 5*time.Second)
+	if st := waitStatus(t, m, "the ship count", func(st LinkStatus) bool { return st.Shipped > 0 }); st.Shipped != 1 || st.Rounds != 0 {
+		t.Errorf("status = %+v, want one shipped change and no round", st)
+	}
+}
+
+// waitStatus polls the first link's status until cond holds.
+func waitStatus(t *testing.T, m *Mesh, what string, cond func(LinkStatus) bool) LinkStatus {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := m.Status()[0]
+		if cond(st) {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s: %+v", what, st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestHotLinkShipsDatabaseOpenedAfterAdd: a database opened after the link
+// was added ships as soon as the node attaches it, not at the next round an
+// hour away.
+func TestHotLinkShipsDatabaseOpenedAfterAdd(t *testing.T) {
+	a, b, _, m := newMeshPair(t)
+	if err := m.Add(Link{Name: "hot", Peer: "beta", Class: Hot, Interval: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	replica := nsf.NewReplicaID()
+	lateA, lateB := openTestDB(t, "late.nsf", replica), openTestDB(t, "late.nsf", replica)
+	a.add("late.nsf", lateA)
+	b.add("late.nsf", lateB)
+	m.Attach("late.nsf", lateA)
+	createDoc(t, lateA, "late")
+	waitConverged(t, map[string]*core.Database{"a": lateA, "b": lateB}, time.Second)
+}
+
+// TestSelectiveHotLinkShipsStubs: a hot link with a formula ships a
+// document edited out of its selection as a selection stub.
+func TestSelectiveHotLinkShipsStubs(t *testing.T) {
+	a, b, _, m := newMeshPair(t)
+	err := m.Add(Link{Name: "sel", Peer: "beta", Class: Hot, Interval: time.Hour,
+		Formula: "SELECT Subject != \"secret\""})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := createDoc(t, a.dbs["disc.nsf"], "public")
+	waitConverged(t, map[string]*core.Database{"a": a.dbs["disc.nsf"], "b": b.dbs["disc.nsf"]}, 5*time.Second)
+	doc.SetWithFlags("Subject", nsf.TextValue("secret"), nsf.FlagSummary)
+	if err := a.dbs["disc.nsf"].Session("user").Update(doc); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, map[string]*core.Database{"a": a.dbs["disc.nsf"], "b": b.dbs["disc.nsf"]}, 5*time.Second)
+	nb, err := b.dbs["disc.nsf"].RawGet(doc.OID.UNID)
+	if err != nil || !nb.IsSelStub() {
+		t.Fatalf("deselected doc at beta = %+v err=%v, want selection stub", nb, err)
+	}
+}
+
+// TestShipFailureKicksCatchUpRound: a ship to a dead peer is dropped,
+// counted, and kicks a round on a link whose interval is an hour away; once
+// the peer is back the link's own catch-up round converges the replicas.
+func TestShipFailureKicksCatchUpRound(t *testing.T) {
+	a, b, d, m := newMeshPair(t)
+	d.fail.Store(true)
+	if err := m.Add(Link{Name: "hot", Peer: "beta", Class: Hot, Direction: Push, Interval: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	createDoc(t, a.dbs["disc.nsf"], "undeliverable")
+	waitStatus(t, m, "a drop and a kicked round", func(st LinkStatus) bool { return st.Dropped >= 1 && st.Failures >= 1 })
+	if !m.Flushed() {
+		t.Error("mesh not flushed after the drop")
+	}
+	d.fail.Store(false)
+	if err := m.RunNow("hot"); err != nil {
+		t.Fatal(err)
+	}
 	waitConverged(t, map[string]*core.Database{"a": a.dbs["disc.nsf"], "b": b.dbs["disc.nsf"]}, 5*time.Second)
 }
 
@@ -261,7 +350,7 @@ func TestReplicaMismatchIsSkipNotFailure(t *testing.T) {
 		"other.nsf": nsf.NewReplicaID(), // unrelated db at the same path
 	})
 	d := &testDialer{nodes: map[string]*testNode{"alpha": a, "beta": b}}
-	m, err := New(Options{Node: a, Dialer: d, Interval: 10 * time.Millisecond})
+	m, err := New(Options{Node: a, Dialer: d.Dial, Interval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +360,9 @@ func TestReplicaMismatchIsSkipNotFailure(t *testing.T) {
 	}
 	createDoc(t, a.dbs["disc.nsf"], "shared doc")
 	waitConverged(t, map[string]*core.Database{"a": a.dbs["disc.nsf"], "b": b.dbs["disc.nsf"]}, 5*time.Second)
-	st := m.Status()[0]
+	// The replicas can converge before the round that moved the document
+	// has visited the mismatched database; judge a completed round.
+	st := waitStatus(t, m, "a completed round", func(st LinkStatus) bool { return st.Rounds > 0 })
 	if st.Failures != 0 {
 		t.Errorf("mismatch counted as failure: %+v", st)
 	}

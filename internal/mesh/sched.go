@@ -6,36 +6,36 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/changefeed"
+	"repro/internal/core"
+	"repro/internal/nsf"
 	"repro/internal/repl"
 	"repro/internal/retry"
 )
 
-// linkState is one scheduled link: its definition, its kick channel (hot
-// triggers, RunNow), and its counters.
+// linkState is one scheduled link: its definition, its kick channel
+// (RunNow, failed ships), its ship queue, and its counters.
 type linkState struct {
 	link Link
 	kick chan struct{}
+	wake chan struct{} // ship queue went non-empty
 	stop chan struct{}
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// st holds the counters; status fills in Link, BreakerOpen and Lag.
+	st       LinkStatus
 	stopped  bool
-	triggers map[string]*repl.ChangeTrigger // by db path
-	rounds   uint64
-	failures uint64
-	consec   int
-	brokenAt time.Time // breaker open since; zero when closed
+	subs     map[string]*changefeed.Subscriber // ship subscriptions, by db path
+	shipQ    map[string][]*nsf.Note            // changes to ship, by db path
+	queued   int                               // changes in shipQ
+	shipping bool                              // a ship batch is in flight
+	brokenAt time.Time                         // breaker open since; zero when closed
 	lastOK   time.Time
-	skipped  uint64
-	notesIn  uint64
-	notesOut uint64
-	bytesIn  uint64
-	bytesOut uint64
-	lastNote string
 	halfOpen bool
 }
 
-// shutdown stops the link's scheduler goroutine and detaches its
-// changefeed triggers.
+// shutdown stops the link's goroutines, detaches its ship subscriptions
+// and discards unsent ships.
 func (ls *linkState) shutdown() {
 	ls.mu.Lock()
 	if ls.stopped {
@@ -43,31 +43,30 @@ func (ls *linkState) shutdown() {
 		return
 	}
 	ls.stopped = true
-	triggers := ls.triggers
-	ls.triggers = nil
+	subs := ls.subs
+	ls.subs, ls.shipQ, ls.queued = nil, nil, 0
 	ls.mu.Unlock()
 	close(ls.stop)
-	for _, tr := range triggers {
-		tr.Stop()
+	for _, sub := range subs {
+		sub.Unsubscribe()
+	}
+}
+
+// kickRound asks for an immediate round; kicks coalesce while one is
+// pending.
+func (ls *linkState) kickRound() {
+	select {
+	case ls.kick <- struct{}{}:
+	default:
 	}
 }
 
 func (ls *linkState) status() LinkStatus {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	st := LinkStatus{
-		Link:        ls.link,
-		Rounds:      ls.rounds,
-		Failures:    ls.failures,
-		ConsecFails: ls.consec,
-		BreakerOpen: !ls.brokenAt.IsZero(),
-		SkippedDBs:  ls.skipped,
-		NotesIn:     ls.notesIn,
-		NotesOut:    ls.notesOut,
-		BytesIn:     ls.bytesIn,
-		BytesOut:    ls.bytesOut,
-		Note:        ls.lastNote,
-	}
+	st := ls.st
+	st.Link = ls.link
+	st.BreakerOpen = !ls.brokenAt.IsZero()
 	if !ls.lastOK.IsZero() {
 		st.Lag = time.Since(ls.lastOK)
 	}
@@ -85,9 +84,6 @@ func (m *Mesh) run(ls *linkState) {
 	h.Write([]byte(ls.link.Name))
 	rng := rand.New(rand.NewSource(int64(h.Sum64())))
 
-	if ls.link.Class == Hot {
-		m.attachTriggers(ls)
-	}
 	for {
 		timer := time.NewTimer(m.nextDelay(ls, rng))
 		select {
@@ -103,12 +99,9 @@ func (m *Mesh) run(ls *linkState) {
 		}
 		if !m.opts.Node.Admitted() {
 			ls.mu.Lock()
-			ls.lastNote = "held: node draining"
+			ls.st.Note = "held: node draining"
 			ls.mu.Unlock()
 			continue
-		}
-		if ls.link.Class == Hot {
-			m.attachTriggers(ls) // pick up databases created since last round
 		}
 		err := m.round(ls)
 		m.settle(ls, err)
@@ -122,7 +115,7 @@ func (m *Mesh) run(ls *linkState) {
 func (m *Mesh) nextDelay(ls *linkState, rng *rand.Rand) time.Duration {
 	ls.mu.Lock()
 	interval := ls.link.Interval
-	consec := ls.consec
+	consec := ls.st.ConsecFails
 	broken := !ls.brokenAt.IsZero()
 	cooldown := m.cooldown(ls.link)
 	ls.mu.Unlock()
@@ -153,7 +146,7 @@ func (m *Mesh) breakerAllows(ls *linkState) bool {
 		return true
 	}
 	if time.Since(ls.brokenAt) < m.cooldown(ls.link) {
-		ls.lastNote = "breaker open"
+		ls.st.Note = "breaker open"
 		return false
 	}
 	if ls.halfOpen {
@@ -166,21 +159,21 @@ func (m *Mesh) breakerAllows(ls *linkState) bool {
 // settle folds a round's outcome into the link's backoff and breaker state.
 func (m *Mesh) settle(ls *linkState, err error) {
 	ls.mu.Lock()
-	ls.rounds++
+	ls.st.Rounds++
 	ls.halfOpen = false
 	if err == nil {
-		ls.consec = 0
+		ls.st.ConsecFails = 0
 		ls.brokenAt = time.Time{}
 		ls.lastOK = time.Now()
-		ls.lastNote = ""
+		ls.st.Note = ""
 		ls.mu.Unlock()
 		return
 	}
-	ls.failures++
-	ls.consec++
-	ls.lastNote = err.Error()
+	ls.st.Failures++
+	ls.st.ConsecFails++
+	ls.st.Note = err.Error()
 	tripped := false
-	if ls.consec >= m.opts.BreakerAfter {
+	if ls.st.ConsecFails >= m.opts.BreakerAfter {
 		if ls.brokenAt.IsZero() {
 			tripped = true
 		}
@@ -195,56 +188,6 @@ func (m *Mesh) settle(ls *linkState, err error) {
 	}
 }
 
-// attachTriggers wires a hot link's kick channel to the changefeed of every
-// covered local database that does not have a trigger yet. Each trigger is
-// debounced per link, so a write burst costs one round; trigger firings
-// are forwarded into the kick channel (capacity one — firings during an
-// in-flight round coalesce into a single follow-up).
-func (m *Mesh) attachTriggers(ls *linkState) {
-	for _, p := range m.opts.Node.Paths() {
-		if !matches(ls.link.Glob, p) {
-			continue
-		}
-		ls.mu.Lock()
-		if ls.stopped || ls.triggers[p] != nil {
-			ls.mu.Unlock()
-			continue
-		}
-		ls.mu.Unlock()
-		db, err := m.opts.Node.Open(p)
-		if err != nil {
-			continue
-		}
-		tr := repl.NewChangeTrigger(db, ls.link.Debounce)
-		ls.mu.Lock()
-		if ls.stopped {
-			ls.mu.Unlock()
-			tr.Stop()
-			return
-		}
-		if ls.triggers == nil {
-			ls.triggers = make(map[string]*repl.ChangeTrigger)
-		}
-		ls.triggers[p] = tr
-		ls.mu.Unlock()
-		m.wg.Add(1)
-		go func(tr *repl.ChangeTrigger) {
-			defer m.wg.Done()
-			for {
-				select {
-				case <-ls.stop:
-					return
-				case <-tr.C():
-					select {
-					case ls.kick <- struct{}{}:
-					default:
-					}
-				}
-			}
-		}(tr)
-	}
-}
-
 // round runs one replication round over every database the link covers:
 // dial the peer once, then replicate each matching local database against
 // the peer's same-path database. A replica-ID mismatch (the peer holds an
@@ -255,7 +198,7 @@ func (m *Mesh) round(ls *linkState) error {
 	ls.mu.Lock()
 	link := ls.link
 	ls.mu.Unlock()
-	sess, err := m.opts.Dialer.Dial(link.Peer)
+	sess, err := m.opts.Dialer(link.Peer)
 	if err != nil {
 		return err
 	}
@@ -268,17 +211,13 @@ func (m *Mesh) round(ls *linkState) error {
 		if err != nil {
 			return err
 		}
-		peerDB, err := sess.Open(p)
+		peerDB, same, err := openPeer(sess, p, db)
 		if err != nil {
 			return err
 		}
-		remoteReplica, err := peerDB.ReplicaID()
-		if err != nil {
-			return err
-		}
-		if remoteReplica != db.ReplicaID() {
+		if !same {
 			ls.mu.Lock()
-			ls.skipped++
+			ls.st.SkippedDBs++
 			ls.mu.Unlock()
 			continue
 		}
@@ -294,10 +233,10 @@ func (m *Mesh) round(ls *linkState) error {
 		}
 		stats, err := repl.Replicate(db, peerDB, opts)
 		ls.mu.Lock()
-		ls.notesIn += uint64(stats.NotesFetched)
-		ls.notesOut += uint64(stats.NotesSent)
-		ls.bytesIn += uint64(stats.BytesIn)
-		ls.bytesOut += uint64(stats.BytesOut)
+		ls.st.NotesIn += uint64(stats.NotesFetched)
+		ls.st.NotesOut += uint64(stats.NotesSent)
+		ls.st.BytesIn += uint64(stats.BytesIn)
+		ls.st.BytesOut += uint64(stats.BytesOut)
 		ls.mu.Unlock()
 		if err != nil {
 			return err
@@ -307,4 +246,19 @@ func (m *Mesh) round(ls *linkState) error {
 		}
 	}
 	return nil
+}
+
+// openPeer opens the peer's database at path. same is false when the peer
+// holds an unrelated database there: a replica-ID mismatch is a skip, not
+// a failure.
+func openPeer(sess Session, path string, db *core.Database) (peer repl.Peer, same bool, err error) {
+	peer, err = sess.Open(path)
+	if err != nil {
+		return nil, false, err
+	}
+	remote, err := peer.ReplicaID()
+	if err != nil {
+		return nil, false, err
+	}
+	return peer, remote == db.ReplicaID(), nil
 }

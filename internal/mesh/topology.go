@@ -117,3 +117,11 @@ func HubSpoke(hub string, spokes []string, template Link) []TopoLink {
 	}
 	return out
 }
+
+// ClusterLink is the link a cluster mate gets: Domino's cluster replicator
+// as a mesh link. It covers every replicable database, selects everything,
+// and ships each committed change to the mate as it happens. It only
+// pushes, because the mate's own cluster link pushes the other way.
+func ClusterLink(mate string) Link {
+	return Link{Name: "cluster-" + mate, Peer: mate, Direction: Push, Class: Hot}
+}

@@ -278,61 +278,64 @@ func pull(local *core.Database, peer Peer, stats *Stats, since nsf.Timestamp, op
 }
 
 // push sends local changes since the cursor for the peer to apply.
-// Documents outside the selection formula travel as selection stubs
-// (identity only), so an edit that moves a document out of the selection
-// deletes it at the peer instead of leaving it frozen.
 func push(local *core.Database, peer Peer, stats *Stats, since nsf.Timestamp, opts Options) (nsf.Timestamp, error) {
-	sel, err := opts.selection()
-	if err != nil {
-		return 0, err
-	}
 	localNow := local.Clock().Now()
-	var batch []*nsf.Note
-	var evalErr error
-	err = local.ScanModifiedSince(since, func(n *nsf.Note) bool {
-		if n.Class == nsf.ClassReplFormula {
-			return true
-		}
-		if sel != nil && !n.IsStub() && n.Class == nsf.ClassDocument {
-			ok, err := sel.Selects(n, nil)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if !ok {
-				batch = append(batch, SelectionStub(n))
-				return true
-			}
-		}
-		batch = append(batch, n)
+	var notes []*nsf.Note
+	err := local.ScanModifiedSince(since, func(n *nsf.Note) bool {
+		notes = append(notes, n)
 		return true
 	})
 	if err != nil {
 		return 0, err
 	}
-	if evalErr != nil {
-		return 0, evalErr
+	if err := Ship(peer, notes, opts, stats); err != nil {
+		return 0, err
 	}
-	for _, n := range batch {
-		stats.BytesOut += int64(len(nsf.EncodeNote(n)))
+	return localNow, nil
+}
+
+// Ship sends local notes for the peer to apply and adds the transfer to
+// stats. It is the push phase of a session and the whole of a mesh hot
+// link's direct ship. Replication bookkeeping never travels. Documents
+// outside the selection formula travel as selection stubs (identity
+// only), so an edit that moves a document out of the selection deletes it
+// at the peer instead of leaving it frozen. Notes go in bounded batches:
+// each applied batch is durable at the peer, and a batch whose
+// acknowledgment was lost re-applies as skips.
+func Ship(peer Peer, notes []*nsf.Note, opts Options, stats *Stats) error {
+	sel, err := opts.selection()
+	if err != nil {
+		return err
 	}
-	stats.NotesSent += len(batch)
-	// Ship in bounded batches: each applied batch is durable at the peer,
-	// and a batch whose acknowledgment was lost re-applies as skips.
-	batchSize := opts.batchSize()
-	for len(batch) > 0 {
-		chunk := batch
-		if len(chunk) > batchSize {
-			chunk = chunk[:batchSize]
+	out := make([]*nsf.Note, 0, len(notes))
+	for _, n := range notes {
+		if n.Class == nsf.ClassReplFormula {
+			continue
 		}
-		batch = batch[len(chunk):]
+		if sel != nil && !n.IsStub() && n.Class == nsf.ClassDocument {
+			ok, err := sel.Selects(n, nil)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				n = SelectionStub(n)
+			}
+		}
+		stats.BytesOut += int64(len(nsf.EncodeNote(n)))
+		out = append(out, n)
+	}
+	stats.NotesSent += len(out)
+	batchSize := opts.batchSize()
+	for len(out) > 0 {
+		chunk := out[:min(len(out), batchSize)]
+		out = out[len(chunk):]
 		st, err := peer.Apply(chunk)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		stats.Push.Add(st)
 	}
-	return localNow, nil
+	return nil
 }
 
 // FullCopy is the naive baseline: it transfers the peer's complete note

@@ -35,36 +35,29 @@ type ChangeTrigger struct {
 func NewChangeTrigger(db *core.Database, debounce time.Duration) *ChangeTrigger {
 	t := &ChangeTrigger{c: make(chan struct{}, 1)}
 	t.sub = db.OnChange(func(n *nsf.Note) {
-		if n.Class == nsf.ClassReplFormula {
-			return
+		if n.Class != nsf.ClassReplFormula {
+			t.kick(debounce)
 		}
-		t.kick(debounce)
 	})
 	return t
 }
 
 // kick schedules (or immediately performs) one firing.
 func (t *ChangeTrigger) kick(debounce time.Duration) {
-	if debounce <= 0 {
-		t.mu.Lock()
-		stopped := t.stopped
-		t.mu.Unlock()
-		if !stopped {
-			t.fire()
-		}
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.stopped || t.timer != nil {
 		return // stopped, or a firing is already pending
 	}
+	if debounce <= 0 {
+		t.fire()
+		return
+	}
 	t.timer = time.AfterFunc(debounce, func() {
 		t.mu.Lock()
+		defer t.mu.Unlock()
 		t.timer = nil
-		stopped := t.stopped
-		t.mu.Unlock()
-		if !stopped {
+		if !t.stopped {
 			t.fire()
 		}
 	})
@@ -81,20 +74,6 @@ func (t *ChangeTrigger) fire() {
 // C returns the signal channel. Receive from it in a select alongside the
 // scheduled interval.
 func (t *ChangeTrigger) C() <-chan struct{} { return t.c }
-
-// Kick requests an immediate firing, bypassing the debounce window. It is
-// the hook for external "replicate now" signals — e.g. a cluster pusher
-// that dropped an event hands the change to the scheduled replicator by
-// kicking its trigger, so catch-up starts at once instead of waiting out
-// the polling interval.
-func (t *ChangeTrigger) Kick() {
-	t.mu.Lock()
-	stopped := t.stopped
-	t.mu.Unlock()
-	if !stopped {
-		t.fire()
-	}
-}
 
 // Stop cancels any pending debounce timer, silences future firings, and
 // unsubscribes from the database's changefeed, so a stopped trigger (a

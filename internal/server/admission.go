@@ -18,7 +18,7 @@ import (
 // briefly, then are shed with StatusBusy carrying the index), a live index
 // computed from in-flight occupancy, queue depth, and a latency EWMA, and
 // a RESTRICTED drain state (Quiesce) that refuses new work while letting
-// in-flight requests finish and cluster pushers flush.
+// in-flight requests finish and hot mesh links ship their queues.
 
 // LogHealth is the log kind for admission/availability events.
 const LogHealth = "health"
@@ -268,7 +268,7 @@ func (s *Server) availabilityResp() *wire.Enc {
 // refused, new requests on existing sessions are shed with a RESTRICTED
 // busy response (driving failover clients to a mate), availability probes
 // answer with index 0, and the call waits — up to timeout — for in-flight
-// requests to finish and cluster pushers to flush their queues. The
+// requests to finish and hot mesh links to ship their queues. The
 // listener stays up so probes keep answering; call Close afterwards to
 // shut down, or Resume to return to service.
 func (s *Server) Quiesce(timeout time.Duration) error {
@@ -278,13 +278,14 @@ func (s *Server) Quiesce(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		inflight := s.admission.inflight.Load()
-		flushed := s.clusterFlushed()
+		m := s.Mesh()
+		flushed := m == nil || m.Flushed()
 		if inflight == 0 && flushed {
-			s.logf(LogHealth, "quiesce: drained (in-flight 0, cluster flushed)")
+			s.logf(LogHealth, "quiesce: drained (in-flight 0, ships flushed)")
 			return nil
 		}
 		if time.Now().After(deadline) {
-			err := fmt.Errorf("server: quiesce timed out (in-flight %d, cluster flushed %v)", inflight, flushed)
+			err := fmt.Errorf("server: quiesce timed out (in-flight %d, ships flushed %v)", inflight, flushed)
 			s.logf(LogHealth, "quiesce: %v", err)
 			return err
 		}

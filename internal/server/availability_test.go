@@ -3,8 +3,10 @@ package server
 import (
 	"errors"
 	"fmt"
+	"net"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/acl"
 	"repro/internal/core"
 	"repro/internal/dir"
+	"repro/internal/mesh"
 	"repro/internal/nsf"
 	"repro/internal/repl"
 	"repro/internal/wire"
@@ -317,55 +320,64 @@ func TestPanicRecoveryClosesOnlyThatConn(t *testing.T) {
 	checkServes(t, addr)
 }
 
-// TestClusterDropSignalsCatchUp: a push to a dead mate is dropped, counted
-// per mate, surfaced in the monitor report, and fires the OnClusterDrop
-// callback with the mate and database — the signal dominod turns into an
-// immediate catch-up replication.
+// TestClusterDropSignalsCatchUp: a change clustered to a mate that is down
+// fails to ship, is counted per mate and in the monitor line of the mate's
+// link, and the rounds it kicks open the link's breaker. Once the mate is
+// up, the link's own catch-up round converges the replicas.
 func TestClusterDropSignalsCatchUp(t *testing.T) {
-	s, _ := newHookServer(t, Options{}, nil)
-	type drop struct{ mate, dbPath string }
-	drops := make(chan drop, 64)
-	s.OnClusterDrop(func(mate, dbPath string) {
-		select {
-		case drops <- drop{mate, dbPath}:
-		default:
-		}
-	})
-	s.EnableClustering(map[string]string{"ghost": "127.0.0.1:1"}) // unreachable
-
-	db, _ := s.DB("apps/db.nsf")
-	n := nsf.NewNote(nsf.ClassDocument)
-	n.SetText("Subject", "undeliverable")
-	if err := db.Session("admin").Create(n); err != nil {
+	p := newFailoverPair(t)
+	var err error
+	if p.hubAddr, err = p.hub.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case d := <-drops:
-		if d.mate != "ghost" || d.dbPath != "apps/db.nsf" {
-			t.Errorf("drop callback got (%q, %q)", d.mate, d.dbPath)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("drop to a dead mate never fired OnClusterDrop")
+	// Reserve an address for the mate, then leave it dead.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	waitFor(t, "the drop counter", func() bool { return s.DroppedByMate()["ghost"] >= 1 })
-	report := s.MonitorReport()
-	last := report[len(report)-1]
-	if want := "dropped[ghost]="; !contains(last, want) {
-		t.Errorf("monitor report %q missing %q", last, want)
+	p.spokeAddr = ln.Addr().String()
+	ln.Close()
+	if _, err := p.hub.EnableMesh(mesh.Options{Interval: 20 * time.Millisecond}); err != nil {
+		t.Fatal(err)
 	}
-}
+	p.hub.EnableClustering(map[string]string{"spoke": p.spokeAddr})
 
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
+	n := nsf.NewNote(nsf.ClassDocument)
+	n.SetText("Subject", "undeliverable")
+	if err := p.hubDB.Session("admin").Create(n); err != nil {
+		t.Fatal(err)
+	}
+	link := func() mesh.LinkStatus { return p.hub.Mesh().Status()[0] }
+	waitFor(t, "the breaker to open", func() bool { return link().BreakerOpen })
+	dropped := p.hub.DroppedByMate()["spoke"]
+	if dropped < 1 {
+		t.Fatalf("DroppedByMate = %v, want a drop for spoke", p.hub.DroppedByMate())
+	}
+	want := fmt.Sprintf("mesh %s -> spoke: ", link().Name)
+	found := false
+	for _, line := range p.hub.MonitorReport() {
+		if strings.HasPrefix(line, want) {
+			found = true
+			if !strings.Contains(line, fmt.Sprintf(" dropped=%d ", dropped)) || !strings.Contains(line, "BREAKER-OPEN") {
+				t.Errorf("monitor line %q does not show the drop and the open breaker", line)
+			}
 		}
 	}
-	return false
+	if !found {
+		t.Errorf("monitor report has no line for the cluster link: %q", p.hub.MonitorReport())
+	}
+
+	if _, err := p.spoke.Start(p.spokeAddr); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "catch-up convergence", func() bool {
+		a, err := mesh.AuditConvergence(map[string]*core.Database{"hub": p.hubDB, "spoke": p.spokeDB})
+		return err == nil && a.Converged
+	})
 }
 
 // TestCloseRacesInflightAndClusterPush: Close while requests are mid-flight
-// and cluster pushers are retrying against a dead mate must terminate
+// and the cluster link is shipping to a dead mate must terminate
 // promptly with no deadlock or leaked goroutine (run under -race in the
 // stress target).
 func TestCloseRacesInflightAndClusterPush(t *testing.T) {
@@ -405,7 +417,7 @@ func TestCloseRacesInflightAndClusterPush(t *testing.T) {
 	select {
 	case <-closed:
 	case <-time.After(15 * time.Second):
-		t.Fatal("Close deadlocked against in-flight requests / cluster pushers")
+		t.Fatal("Close deadlocked against in-flight requests / cluster link")
 	}
 	wg.Wait()
 }

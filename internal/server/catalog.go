@@ -110,8 +110,6 @@ func (s *Server) RefreshCatalog() (int, error) {
 		}
 		written++
 	}
-	// Cluster-mate health docs: per-mate push-drop counts and queue depth,
-	// so an administrator browsing the catalog sees which mate is behind.
 	upsert := func(unid nsf.UNID, form string, set func(n *nsf.Note)) error {
 		valid[unid] = true
 		n, err := cat.RawGet(unid)
@@ -130,25 +128,10 @@ func (s *Server) RefreshCatalog() (int, error) {
 		n.Modified = s.clock.Now()
 		return cat.RawPut(n)
 	}
-	s.mu.Lock()
-	pushers := append([]*clusterPusher(nil), s.cluster...)
-	s.mu.Unlock()
-	for _, p := range pushers {
-		dropped, queued := p.snapshot()
-		err := upsert(catalogDocUNID(s.opts.Name, "clustermate:"+p.mateName), "ClusterMate", func(n *nsf.Note) {
-			n.SetWithFlags("Mate", nsf.TextValue(p.mateName), nsf.FlagSummary)
-			n.SetText("Addr", p.mateAddr)
-			n.SetNumber("Dropped", float64(dropped))
-			n.SetNumber("Queue", float64(queued))
-		})
-		if err != nil {
-			return written, err
-		}
-		written++
-	}
-	// Mesh link docs: one per configured replication link, carrying the
-	// link's definition and live counters (rounds, failures, breaker state,
-	// lag) so an administrator browsing the catalog sees the mesh's health.
+	// Mesh link docs: one per replication link (cluster mates included),
+	// carrying the link's definition and live counters (rounds, ships,
+	// drops, breaker state, lag) so an administrator browsing the catalog
+	// sees which peer is behind.
 	if m := s.Mesh(); m != nil {
 		for _, st := range m.Status() {
 			err := upsert(catalogDocUNID(s.opts.Name, "meshlink:"+st.Name), "MeshLink", func(n *nsf.Note) {
@@ -168,6 +151,8 @@ func (s *Server) RefreshCatalog() (int, error) {
 				n.SetNumber("SkippedDBs", float64(st.SkippedDBs))
 				n.SetNumber("NotesIn", float64(st.NotesIn))
 				n.SetNumber("NotesOut", float64(st.NotesOut))
+				n.SetNumber("Shipped", float64(st.Shipped))
+				n.SetNumber("Dropped", float64(st.Dropped))
 				n.SetNumber("LagSecs", st.Lag.Seconds())
 				n.SetText("Note", st.Note)
 			})
@@ -202,7 +187,8 @@ func (s *Server) RefreshCatalog() (int, error) {
 	}
 	written++
 
-	// Drop catalog docs for databases (and mates) that disappeared.
+	// Drop catalog docs for databases and links that disappeared. The
+	// retired ClusterMate form stays listed so old catalogs lose those docs.
 	catalogForms := map[string]bool{"Catalog": true, "ClusterMate": true, "ServerHealth": true, "MeshLink": true}
 	var stale []nsf.UNID
 	err = cat.ScanAll(func(n *nsf.Note) bool {

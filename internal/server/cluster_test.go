@@ -76,7 +76,7 @@ func TestClusterPushReplication(t *testing.T) {
 		n, err := spokeDB.RawGet(unids[1])
 		return err == nil && n.IsStub()
 	})
-	if d := tn.hub.Dropped(); d != 0 {
+	if d := tn.hub.DroppedByMate()["spoke"]; d != 0 {
 		t.Errorf("cluster dropped %d events", d)
 	}
 }

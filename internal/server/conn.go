@@ -235,8 +235,9 @@ func (c *connState) hello(d *wire.Dec) (*wire.Enc, error) {
 		return nil, err
 	}
 	// Version 2 changed the view/search row encodings (paginated bulk
-	// reads), so v1 peers are refused rather than misparsed.
-	if version != 2 {
+	// reads) and version 3 the mesh admin encodings, so older peers are
+	// refused rather than misparsed.
+	if version != 3 {
 		return nil, fmt.Errorf("unsupported protocol version %d", version)
 	}
 	if !c.s.opts.Directory.Authenticate(user, secret) {

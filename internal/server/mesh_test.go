@@ -29,10 +29,7 @@ func newMeshNet(t *testing.T) (*testNet, *mesh.Mesh, *core.Database, *core.Datab
 	}
 	hubDB.ACL().Set("spoke", acl.Editor)
 	spokeDB.ACL().Set("hub", acl.Editor)
-	m, err := net.hub.EnableMesh(mesh.Options{
-		Interval: 30 * time.Millisecond,
-		Debounce: time.Millisecond,
-	})
+	m, err := net.hub.EnableMesh(mesh.Options{Interval: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("EnableMesh: %v", err)
 	}

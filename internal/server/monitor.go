@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/nsf"
@@ -105,9 +104,9 @@ func (s *Server) ActivityCounts() map[string]uint64 {
 }
 
 // MonitorReport renders one line per monitored database, sorted by path,
-// followed by a server health line (availability, admission, panic and
-// cluster-drop counters) — an administrative snapshot of activity, feed
-// health, and survivability.
+// followed by a server health line (availability, admission and panic
+// counters) and one line per mesh link (rounds, ships, drops, breaker) —
+// an administrative snapshot of activity, feed health, and survivability.
 func (s *Server) MonitorReport() []string {
 	counts := s.ActivityCounts()
 	paths := make([]string, 0, len(counts))
@@ -132,24 +131,13 @@ func (s *Server) MonitorReport() []string {
 	health := fmt.Sprintf("server: availability=%d state=%s inflight=%d queued=%d sheds=%d panics=%d dispatched=%d deadline-sheds=%d deadline-aborts=%d",
 		h.Index, state, h.InFlight, h.Queued, h.Sheds, h.Panics,
 		h.Dispatched, h.DeadlineSheds, h.DeadlineAborts)
-	for _, mateName := range s.ClusterMates() {
-		health += fmt.Sprintf(" dropped[%s]=%d", mateName, s.DroppedByMate()[mateName])
-	}
 	out = append(out, health)
-	// Mesh links: one line per configured replication link with its live
-	// counters, so the report shows each edge's health at a glance.
+	// Mesh links (cluster mates included): one line per replication link
+	// with its live counters, so the report shows each edge's health at a
+	// glance.
 	if m := s.Mesh(); m != nil {
 		for _, st := range m.Status() {
-			line := fmt.Sprintf("mesh %s -> %s: %s %s rounds=%d fail=%d in=%d out=%d lag=%s",
-				st.Name, st.Peer, st.Class, st.Direction,
-				st.Rounds, st.Failures, st.NotesIn, st.NotesOut, st.Lag.Round(time.Millisecond))
-			if st.BreakerOpen {
-				line += " BREAKER-OPEN"
-			}
-			if st.Note != "" {
-				line += " (" + st.Note + ")"
-			}
-			out = append(out, line)
+			out = append(out, "mesh "+st.String())
 		}
 	}
 	// Placement records, so the report shows where each database routes.

@@ -94,8 +94,8 @@ type Options struct {
 	MaxPageBytes int
 	// PeerOpBudget, when > 0, stamps a deadline budget on every operation
 	// this server issues to its peers — mesh replication rounds and
-	// cluster push deliveries — so one stalled peer cannot pin a
-	// replication session or a pusher goroutine indefinitely; the peer
+	// hot-link ships — so one stalled peer cannot pin a replication
+	// session or a ship loop indefinitely; the peer
 	// sheds or aborts the op when the budget is spent. 0 disables peer
 	// budgets (seed behaviour).
 	PeerOpBudget time.Duration
@@ -108,7 +108,6 @@ type Server struct {
 
 	mu      sync.Mutex
 	dbs     map[string]*core.Database
-	cluster []*clusterPusher
 	mesh    *mesh.Mesh
 	conns   map[net.Conn]struct{}
 	backups map[string]BackupStatus
@@ -127,9 +126,6 @@ type Server struct {
 	putSessMu sync.Mutex
 	putSess   map[string]uint64
 	putSessQ  []string
-	// onClusterDrop, when set, is called (outside locks) for every cluster
-	// push event abandoned to the scheduled replicator.
-	onClusterDrop atomic.Value // of func(mate, dbPath string)
 	// testPreDispatch, when set by tests before Serve, runs at the top of
 	// every dispatched request — the hook for injecting panics and delays.
 	testPreDispatch func(op wire.Op, budget time.Duration)
@@ -269,10 +265,10 @@ func (s *Server) OpenDB(path string, opts core.Options) (*core.Database, error) 
 		return nil, err
 	}
 	s.dbs[key] = db
-	clustered := len(s.cluster) > 0
+	m := s.mesh
 	s.mu.Unlock()
-	if clustered {
-		s.hookClusterDB(key, db)
+	if m != nil && !localOnlyDBs[key] {
+		m.Attach(key, db)
 	}
 	s.hookMonitorDB(key, db)
 	s.mu.Lock()
@@ -443,7 +439,6 @@ func (s *Server) Close() error {
 	for _, c := range conns {
 		c.Close()
 	}
-	s.stopCluster()
 	s.stopMesh()
 	s.wg.Wait()
 	s.mu.Lock()

@@ -16,9 +16,10 @@ import (
 
 // protocolVersion is negotiated in the hello exchange. Version 2 replaced
 // the one-shot view/search reads with paginated bulk ops (and added OpScan);
-// the row encodings changed shape, so v1 peers are refused outright rather
-// than silently misparsed.
-const protocolVersion = 2
+// version 3 dropped the mesh link debounce and added ship counters to the
+// mesh admin encodings. Each change altered encodings in place, so older
+// peers are refused outright rather than silently misparsed.
+const protocolVersion = 3
 
 // Options tune a client's fault tolerance. The zero value gets production
 // defaults; see the field comments.

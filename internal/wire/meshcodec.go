@@ -10,7 +10,7 @@ import (
 func (e *Enc) MeshLink(l mesh.Link) *Enc {
 	return e.Str(l.Name).Str(l.Peer).Str(l.Glob).Str(l.Formula).
 		U8(byte(l.Direction)).U8(byte(l.Class)).
-		U64(uint64(l.Interval)).U64(uint64(l.Debounce))
+		U64(uint64(l.Interval))
 }
 
 // MeshLink reads a mesh link definition.
@@ -23,7 +23,6 @@ func (d *Dec) MeshLink() mesh.Link {
 		Direction: mesh.Direction(d.U8()),
 		Class:     mesh.Class(d.U8()),
 		Interval:  time.Duration(d.U64()),
-		Debounce:  time.Duration(d.U64()),
 	}
 }
 
@@ -36,7 +35,8 @@ func (e *Enc) MeshLinkStatus(st mesh.LinkStatus) *Enc {
 	}
 	return e.U64(st.Rounds).U64(st.Failures).U32(uint32(st.ConsecFails)).U8(broken).
 		U64(st.SkippedDBs).U64(st.NotesIn).U64(st.NotesOut).
-		U64(st.BytesIn).U64(st.BytesOut).U64(uint64(st.Lag)).Str(st.Note)
+		U64(st.BytesIn).U64(st.BytesOut).U64(st.Shipped).U64(st.Dropped).
+		U64(uint64(st.Lag)).Str(st.Note)
 }
 
 // MeshLinkStatus reads a link's live status.
@@ -51,6 +51,8 @@ func (d *Dec) MeshLinkStatus() mesh.LinkStatus {
 	st.NotesOut = d.U64()
 	st.BytesIn = d.U64()
 	st.BytesOut = d.U64()
+	st.Shipped = d.U64()
+	st.Dropped = d.U64()
 	st.Lag = time.Duration(d.U64())
 	st.Note = d.Str()
 	return st
