@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race stress fuzz verify bench experiments bench-backup bench-readpath bench-availability bench-writepath bench-placement bench-mesh bench-bulkread bench-deadline drift clean
+.PHONY: all build vet test race stress fuzz verify bench bench-backup bench-readpath bench-availability bench-writepath bench-placement bench-mesh bench-bulkread bench-deadline drift clean
 
 all: verify
 
@@ -50,11 +50,6 @@ verify: build vet test race stress
 # Write-path benchmark suite (changefeed: latency vs open consumers).
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkW1 -benchtime 500x .
-
-# Regenerate the write-path latency baseline (BENCH_writepath.json).
-experiments:
-	$(GO) run ./cmd/experiments -exp W1
-	$(GO) run ./cmd/experiments -exp W2
 
 # Regenerate the backup/restore baseline (BENCH_backup.json): incremental
 # vs full image cost, hot-backup put-latency interference, restore/PITR.

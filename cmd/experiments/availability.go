@@ -1,11 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -53,51 +51,12 @@ type w5Result struct {
 // w5Failover runs Phase A: a two-mate cluster, a failover client creating
 // documents, the primary killed halfway through.
 func w5Failover(docs int) w5Result {
-	base, err := os.MkdirTemp("", "domino-w5")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(base)
-	d := domino.NewDirectory()
-	d.AddUser(domino.User{Name: "ada", Secret: "pw"})
-	d.AddUser(domino.User{Name: "alpha", Secret: "sa"})
-	d.AddUser(domino.User{Name: "beta", Secret: "sb"})
-	mk := func(name, secret string) *domino.Server {
-		s, err := domino.NewServer(domino.ServerOptions{
-			Name: name, DataDir: filepath.Join(base, name),
-			Directory: d, PeerSecret: secret,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return s
-	}
-	alpha, beta := mk("alpha", "sa"), mk("beta", "sb")
-	defer beta.Close()
-	aAddr, err := alpha.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	bAddr, err := beta.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	replica := domino.NewReplicaID()
-	dbA, err := alpha.OpenDB("apps/w5.nsf", domino.Options{Title: "w5", ReplicaID: replica})
-	if err != nil {
-		log.Fatal(err)
-	}
-	dbB, err := beta.OpenDB("apps/w5.nsf", domino.Options{Title: "w5", ReplicaID: replica})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, who := range []string{"ada", "alpha", "beta"} {
-		dbA.ACL().Set(who, domino.Editor)
-		dbB.ACL().Set(who, domino.Editor)
-	}
-	alpha.EnableClustering(map[string]string{"beta": bAddr})
+	r := newRig(rigSpec{path: "apps/w5.nsf"}, "alpha", "beta")
+	defer r.close()
+	dbB := r.db["beta"]
+	r.srv["alpha"].EnableClustering(map[string]string{"beta": r.addr["beta"]})
 
-	fc, err := domino.DialFailover([]string{aAddr, bAddr}, "ada", "pw", domino.FailoverOptions{
+	fc, err := domino.DialFailover(r.addrs(), "ada", "pw", domino.FailoverOptions{
 		Client: domino.ClientOptions{BackoffBase: 5 * time.Millisecond, DialTimeout: 2 * time.Second},
 	})
 	if err != nil {
@@ -114,7 +73,7 @@ func w5Failover(docs int) w5Result {
 	var window time.Duration
 	for i := 0; i < docs; i++ {
 		if i == killAt {
-			alpha.Close()
+			r.kill("alpha")
 		}
 		n := domino.NewDocument()
 		n.SetText("Subject", fmt.Sprintf("w5 doc %d", i))
@@ -140,7 +99,7 @@ func w5Failover(docs int) w5Result {
 	// were cluster-pushed, but the push is asynchronous — the catch-up
 	// replication from the dead file is what a restarted mate (or an admin
 	// with its disk) would run.
-	reopened, err := domino.Open(filepath.Join(base, "alpha", "apps", "w5.nsf"), domino.Options{})
+	reopened, err := domino.Open(filepath.Join(r.dir, "alpha", "apps", "w5.nsf"), domino.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -148,17 +107,11 @@ func w5Failover(docs int) w5Result {
 	if _, err := domino.Replicate(reopened, &domino.LocalPeer{DB: dbB}, domino.ReplicationOptions{PeerName: "catchup"}); err != nil {
 		log.Fatal(err)
 	}
-	lost := 0
-	for _, u := range acked {
-		if _, err := dbB.RawGet(u); err != nil {
-			lost++
-		}
-	}
 	return w5Result{
 		Phase:            "failover",
 		Docs:             docs,
 		Acked:            len(acked),
-		LostAcked:        lost,
+		LostAcked:        lostAcked(acked, dbB),
 		FailoverWindowMs: float64(window.Nanoseconds()) / 1e6,
 		Failovers:        fc.Stats().Failovers,
 	}
@@ -168,33 +121,14 @@ func w5Failover(docs int) w5Result {
 // issuing creates as fast as they can against a server whose in-flight
 // pool (if any) is a fraction of that.
 func w5Overload(mode string, maxInFlight, clients int, dur time.Duration) w5Result {
-	base, err := os.MkdirTemp("", "domino-w5b")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(base)
-	d := domino.NewDirectory()
-	d.AddUser(domino.User{Name: "ada", Secret: "pw"})
 	// SyncWAL pins the service rate to the fsync path: writes serialize on
 	// the log, so offered load from `clients` connections is a genuine
 	// multiple of capacity no matter how many cores the host has.
-	srv, err := domino.NewServer(domino.ServerOptions{
-		Name: "w5b", DataDir: base, Directory: d, SyncWAL: true,
-		MaxInFlight: maxInFlight, AdmitWait: 5 * time.Millisecond,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer srv.Close()
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	dbs, err := srv.OpenDB("apps/w5b.nsf", domino.Options{Title: "w5b"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	dbs.ACL().Set("ada", domino.Editor)
+	r := newRig(rigSpec{path: "apps/w5b.nsf", tweak: func(_ string, o *domino.ServerOptions) {
+		o.SyncWAL, o.MaxInFlight, o.AdmitWait = true, maxInFlight, 5*time.Millisecond
+	}}, "w5b")
+	defer r.close()
+	addr := r.addr["w5b"]
 
 	// No client-side retries: a shed must surface (and be counted), not be
 	// silently absorbed by backoff.
@@ -268,8 +202,8 @@ func w5Overload(mode string, maxInFlight, clients int, dur time.Duration) w5Resu
 		GoroutinesBase: goroBase,
 	}
 	if len(lats) > 0 {
-		res.AcceptedP50Ms = float64(percentile(lats, 0.50).Nanoseconds()) / 1e6
-		res.AcceptedP99Ms = float64(percentile(lats, 0.99).Nanoseconds()) / 1e6
+		res.AcceptedP50Ms = float64(pct(lats, 0.50).Nanoseconds()) / 1e6
+		res.AcceptedP99Ms = float64(pct(lats, 0.99).Nanoseconds()) / 1e6
 	}
 	// Shed work never started, so nothing lingers: after the load stops the
 	// goroutine count settles back to (at most) its pre-load level.
@@ -301,7 +235,7 @@ func runW5(quick bool) {
 	fmt.Println("  Phase A: kill a cluster mate mid-session (failover client)")
 	ta.print()
 	if fa.LostAcked != 0 {
-		fmt.Printf("  !! %d acknowledged writes lost — availability invariant violated\n", fa.LostAcked)
+		fail("%d acknowledged writes lost — availability invariant violated", fa.LostAcked)
 	} else {
 		fmt.Println("  (invariant: zero acknowledged writes lost across the node kill)")
 	}
@@ -329,15 +263,5 @@ func runW5(quick bool) {
 	fmt.Println("  (shape check: admission sheds the excess and keeps accepted p99 near the")
 	fmt.Println("   pool's service time; unbounded queues everything and p99 grows with it)")
 
-	f, err := os.Create("BENCH_availability.json")
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
-	fmt.Println("  baseline written to BENCH_availability.json")
+	benchW5.save(results)
 }

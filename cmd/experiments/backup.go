@@ -1,12 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	domino "repro"
@@ -115,9 +113,8 @@ func runW3(quick bool) {
 			}
 			lats = append(lats, time.Since(t0))
 		}
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		return float64(percentile(lats, 0.50).Nanoseconds()) / 1e3,
-			float64(percentile(lats, 0.95).Nanoseconds()) / 1e3
+		return float64(pct(lats, 0.50).Nanoseconds()) / 1e3,
+			float64(pct(lats, 0.95).Nanoseconds()) / 1e3
 	}
 	putN := pick(quick, 800, 150)
 	idle50, idle95 := measurePuts(putN)
@@ -174,15 +171,5 @@ func runW3(quick bool) {
 	restore("pitr-mid-archive", lastUSN-uint64(tailDocs)/2)
 	rt.print()
 
-	f, err := os.Create("BENCH_backup.json")
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
-	fmt.Println("  baseline written to BENCH_backup.json")
+	benchW3.save(results)
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -53,27 +51,16 @@ const w9Path = "apps/w9.nsf"
 
 // w9Server boots one server with the given bulk-read page budget, seeds
 // `docs` documents server-side (each with a Subject of at least `subject`
-// bytes), and defines a sorted Subject view. The listener is wrapped by
-// the returned faultnet (injection disabled; enable before measuring).
-func w9Server(docs, subject, pageRows int, plan faultnet.Plan) (*domino.Server, string, *faultnet.Net, func()) {
-	base, err := os.MkdirTemp("", "domino-w9")
-	if err != nil {
-		log.Fatal(err)
-	}
-	d := domino.NewDirectory()
-	d.AddUser(domino.User{Name: "ada", Secret: "pw"})
-	srv, err := domino.NewServer(domino.ServerOptions{
-		Name: "w9", DataDir: filepath.Join(base, "w9"),
-		Directory: d, MaxPageRows: pageRows,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	db, err := srv.OpenDB(w9Path, domino.Options{Title: "w9", ReplicaID: domino.NewReplicaID()})
-	if err != nil {
-		log.Fatal(err)
-	}
-	db.ACL().Set("ada", domino.Editor)
+// bytes), and defines a sorted Subject view. The listener sits behind a
+// faultnet with the given plan (injection disabled; enable before
+// measuring).
+func w9Server(docs, subject, pageRows int, plan faultnet.Plan) *rig {
+	r := newRig(rigSpec{
+		path:  w9Path,
+		plans: map[string]faultnet.Plan{"w9": plan},
+		tweak: func(_ string, o *domino.ServerOptions) { o.MaxPageRows = pageRows },
+	}, "w9")
+	db := r.db["w9"]
 
 	// Seed before defining the view: one rebuild beats n incremental updates.
 	pad := string(make([]byte, subject))
@@ -93,27 +80,16 @@ func w9Server(docs, subject, pageRows int, plan faultnet.Plan) (*domino.Server, 
 	if err := db.AddView(nil, def); err != nil {
 		log.Fatal(err)
 	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fn := faultnet.New(plan)
-	fn.Disable()
-	addr := srv.Serve(fn.Listener(ln))
-	cleanup := func() {
-		srv.Close()
-		os.RemoveAll(base)
-	}
-	return srv, addr, fn, cleanup
+	return r
 }
 
 // w9ViewOpen measures Phase A at one configuration: client-observed time
 // to render the whole view over a link with the given one-way latency,
 // paginated, against the per-note Get baseline over the same link.
 func w9ViewOpen(docs, pageRows int, oneWay time.Duration) w9Result {
-	_, addr, fn, cleanup := w9Server(docs, 0, pageRows, faultnet.Plan{Latency: oneWay})
-	defer cleanup()
+	r := w9Server(docs, 0, pageRows, faultnet.Plan{Latency: oneWay})
+	defer r.close()
+	addr, fn := r.addr["w9"], r.nets["w9"]
 
 	// Dial and bind the handle with latency off: both modes share session
 	// setup, and the comparison is read traffic, not handshakes.
@@ -232,8 +208,8 @@ func (m *frameMeter) feed(b []byte) {
 func w9FrameBound(docs int) w9Result {
 	// ~400-byte subjects: at 200k rows the summed rendering tops 64 MiB,
 	// which the one-shot protocol could not frame at all.
-	_, addr, _, cleanup := w9Server(docs, 400, 0, faultnet.Plan{})
-	defer cleanup()
+	r := w9Server(docs, 400, 0, faultnet.Plan{})
+	defer r.close()
 
 	stats := &frameStats{}
 	dialer := func(network, addr string) (net.Conn, error) {
@@ -243,7 +219,7 @@ func w9FrameBound(docs int) w9Result {
 		}
 		return &frameMeter{Conn: conn, stats: stats}, nil
 	}
-	c, err := domino.DialOptions(addr, "ada", "pw", domino.ClientOptions{Dialer: dialer})
+	c, err := domino.DialOptions(r.addr["w9"], "ada", "pw", domino.ClientOptions{Dialer: dialer})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -296,51 +272,9 @@ func w9Probe() w9Result {
 	return r
 }
 
-// W9 drift tolerances: view-open time over the emulated link is dominated
-// by round trips x RTT, so the guard hunts a broken pager (extra round
-// trips, pages collapsing to single rows), not scheduler jitter.
-const (
-	w9MinSpeedup = 5.0
-	w9DriftRatio = 3.0
-	w9FloorMs    = 50.0
-)
-
-// guardW9 re-runs the fixed-size Phase A probe: the paginated open must
-// beat the per-note baseline by the acceptance ratio outright, and its
-// absolute time is checked against the committed BENCH_readpath.json.
-func guardW9(t *table) string {
-	var want float64
-	for _, r := range loadRPBaseline().W9 {
-		if r.Phase == "view-open-probe" {
-			want = r.ViewOpenMs
-		}
-	}
-	if want == 0 {
-		return "W9 probe baseline missing; run `make bench-bulkread` and commit " + rpBaselineFile
-	}
-	var got, speedup float64
-	for trial := 0; trial < driftTrials; trial++ {
-		r := w9Probe()
-		if trial == 0 || r.ViewOpenMs < got {
-			got = r.ViewOpenMs
-		}
-		if r.SpeedupX > speedup {
-			speedup = r.SpeedupX
-		}
-	}
-	if speedup < w9MinSpeedup {
-		return fmt.Sprintf("W9 paginated view open only %.1fx faster than per-note (want >= %.0fx)",
-			speedup, w9MinSpeedup)
-	}
-	verdict := "ok"
-	msg := ""
-	if got > want*w9DriftRatio && got > want+w9FloorMs {
-		verdict = "REGRESSED"
-		msg = fmt.Sprintf("W9 view open %.1fms vs baseline %.1fms", got, want)
-	}
-	t.add("W9 view open (5ms RTT)", fmt.Sprintf("%.1fms", want), fmt.Sprintf("%.1fms", got), verdict)
-	return msg
-}
+// w9MinSpeedup is the acceptance ratio of the paginated view open over
+// the per-note baseline.
+const w9MinSpeedup = 5.0
 
 func runW9(quick bool) {
 	var results []w9Result
@@ -359,6 +293,9 @@ func runW9(quick bool) {
 	}
 	ta.print()
 	fmt.Printf("  speedup target: >= %.0fx\n", w9MinSpeedup)
+	if probe.SpeedupX < w9MinSpeedup {
+		fail("W9 probe view open only %.1fx faster than per-note (target >= %.0fx)", probe.SpeedupX, w9MinSpeedup)
+	}
 
 	big := pick(quick, 200000, 20000)
 	fmt.Println("  Phase B: frame-bound streaming of a view too big for one frame")
@@ -375,8 +312,5 @@ func runW9(quick bool) {
 	fmt.Printf("  every response frame under MaxFrame (largest %.1f%% of limit)\n",
 		100*float64(b.MaxFrameB)/float64(wire.MaxFrame))
 
-	base := loadRPBaseline()
-	base.W9 = results
-	saveRPBaseline(base)
-	fmt.Println("  baseline written to " + rpBaselineFile)
+	benchW9.save(results)
 }

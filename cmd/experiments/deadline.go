@@ -1,13 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
-	"net"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -64,86 +60,33 @@ type w10Result struct {
 
 const w10Path = "apps/w10.nsf"
 
-// w10Cluster is a 3-mate read cluster whose first mate's listener sits
+// w10Rig boots a 3-mate read cluster whose first mate's listener sits
 // behind a faultnet: enabling it stalls every conversation with that mate
-// (frames accepted, responses never sent) while the other two stay healthy.
-type w10Cluster struct {
-	base  string
-	srvs  []*domino.Server
-	addrs []string
-	fn    *faultnet.Net
-	unids []domino.UNID
-}
-
-func newW10Cluster(docs int) *w10Cluster {
-	base, err := os.MkdirTemp("", "domino-w10")
-	if err != nil {
-		log.Fatal(err)
-	}
-	d := domino.NewDirectory()
-	d.AddUser(domino.User{Name: "ada", Secret: "pw"})
-	replica := domino.NewReplicaID()
-	c := &w10Cluster{base: base}
-	var dbs []*domino.Database
-	for i := 0; i < 3; i++ {
-		name := fmt.Sprintf("m%d", i)
-		srv, err := domino.NewServer(domino.ServerOptions{
-			Name: name, DataDir: filepath.Join(base, name), Directory: d,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		db, err := srv.OpenDB(w10Path, domino.Options{Title: "w10", ReplicaID: replica})
-		if err != nil {
-			log.Fatal(err)
-		}
-		db.ACL().Set("ada", domino.Editor)
-		c.srvs = append(c.srvs, srv)
-		dbs = append(dbs, db)
-	}
+// (frames accepted, responses never sent) while the other two stay
+// healthy. It returns the UNIDs of the docs every mate serves.
+func w10Rig(docs int) (*rig, []domino.UNID) {
+	r := newRig(rigSpec{path: w10Path, plans: map[string]faultnet.Plan{"m0": {Seed: 10, StallProb: 1}}},
+		"m0", "m1", "m2")
 
 	// Seed the first mate, then replicate in-process so every mate serves
 	// the same UNIDs.
-	sess := dbs[0].Session("ada")
+	var unids []domino.UNID
+	sess := r.db["m0"].Session("ada")
 	for i := 0; i < docs; i++ {
 		n := domino.NewDocument()
 		n.SetText("Subject", fmt.Sprintf("w10 doc %d", i))
 		if err := sess.Create(n); err != nil {
 			log.Fatal(err)
 		}
-		c.unids = append(c.unids, n.OID.UNID)
+		unids = append(unids, n.OID.UNID)
 	}
-	for i := 1; i < 3; i++ {
-		peer := fmt.Sprintf("seed-m%d", i)
-		if _, err := domino.Replicate(dbs[0], &domino.LocalPeer{DB: dbs[i]}, domino.ReplicationOptions{PeerName: peer}); err != nil {
+	for _, mate := range []string{"m1", "m2"} {
+		peer := "seed-" + mate
+		if _, err := domino.Replicate(r.db["m0"], &domino.LocalPeer{DB: r.db[mate]}, domino.ReplicationOptions{PeerName: peer}); err != nil {
 			log.Fatal(err)
 		}
 	}
-
-	// Mate 0 listens behind the faultnet (injection off until a trial turns
-	// it on); mates 1 and 2 listen plain.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	c.fn = faultnet.New(faultnet.Plan{Seed: 10, StallProb: 1})
-	c.fn.Disable()
-	c.addrs = append(c.addrs, c.srvs[0].Serve(c.fn.Listener(ln)))
-	for i := 1; i < 3; i++ {
-		addr, err := c.srvs[i].Start("127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		c.addrs = append(c.addrs, addr)
-	}
-	return c
-}
-
-func (c *w10Cluster) close() {
-	for _, s := range c.srvs {
-		s.Close()
-	}
-	os.RemoveAll(c.base)
+	return r, unids
 }
 
 // w10TailOpts is the per-mode client configuration for Phase A. The
@@ -171,11 +114,11 @@ func w10TailOpts(mode string) domino.FailoverOptions {
 // whose current mate is the stalled one, turns the stall on, and times a
 // single Get — the moment a user's read lands on a mate that just went
 // dark.
-func w10Tail(c *w10Cluster, mode string, trials int) w10Result {
+func w10Tail(r *rig, unids []domino.UNID, mode string, trials int) w10Result {
 	lats := make([]time.Duration, 0, trials)
 	var hedges, wins uint64
 	for i := 0; i < trials; i++ {
-		fc, err := domino.DialFailover(c.addrs, "ada", "pw", w10TailOpts(mode))
+		fc, err := domino.DialFailover(r.addrs(), "ada", "pw", w10TailOpts(mode))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -183,13 +126,13 @@ func w10Tail(c *w10Cluster, mode string, trials int) w10Result {
 		if err != nil {
 			log.Fatal(err)
 		}
-		c.fn.Enable()
+		r.nets["m0"].Enable()
 		start := time.Now()
-		if _, err := db.Get(c.unids[i%len(c.unids)]); err != nil {
+		if _, err := db.Get(unids[i%len(unids)]); err != nil {
 			log.Fatalf("W10 %s trial %d: %v", mode, i, err)
 		}
 		lats = append(lats, time.Since(start))
-		c.fn.Disable()
+		r.nets["m0"].Disable()
 		st := fc.Stats()
 		hedges += st.Hedges
 		wins += st.HedgeWins
@@ -197,8 +140,8 @@ func w10Tail(c *w10Cluster, mode string, trials int) w10Result {
 	}
 	return w10Result{
 		Phase: "tail", Mode: mode, Trials: trials,
-		P50Ms:     float64(percentile(lats, 0.50).Nanoseconds()) / 1e6,
-		P99Ms:     float64(percentile(lats, 0.99).Nanoseconds()) / 1e6,
+		P50Ms:     float64(pct(lats, 0.50).Nanoseconds()) / 1e6,
+		P99Ms:     float64(pct(lats, 0.99).Nanoseconds()) / 1e6,
 		Hedges:    hedges,
 		HedgeWins: wins,
 	}
@@ -211,32 +154,13 @@ func w10Tail(c *w10Cluster, mode string, trials int) w10Result {
 // "budgeted" callers carry D on the wire, so admission sheds requests that
 // cannot survive the queue before they execute.
 func w10Waste(mode string, clients int, abandon, dur time.Duration) w10Result {
-	base, err := os.MkdirTemp("", "domino-w10b")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(base)
-	d := domino.NewDirectory()
-	d.AddUser(domino.User{Name: "ada", Secret: "pw"})
 	// One execution slot + SyncWAL pins the service rate to the fsync path;
 	// the admit queue (not busy-shedding) is where requests go to die.
-	srv, err := domino.NewServer(domino.ServerOptions{
-		Name: "w10b", DataDir: base, Directory: d, SyncWAL: true,
-		MaxInFlight: 1, AdmitWait: 200 * time.Millisecond,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer srv.Close()
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	dbs, err := srv.OpenDB("apps/w10b.nsf", domino.Options{Title: "w10b"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	dbs.ACL().Set("ada", domino.Editor)
+	r := newRig(rigSpec{path: "apps/w10b.nsf", tweak: func(_ string, o *domino.ServerOptions) {
+		o.SyncWAL, o.MaxInFlight, o.AdmitWait = true, 1, 200*time.Millisecond
+	}}, "w10b")
+	defer r.close()
+	srv := r.srv["w10b"]
 
 	// No client-side retries: every outcome is counted once.
 	copts := domino.ClientOptions{MaxRetries: -1, DialTimeout: 2 * time.Second}
@@ -249,7 +173,7 @@ func w10Waste(mode string, clients int, abandon, dur time.Duration) w10Result {
 	}
 	rdbs := make([]*domino.RemoteDB, clients)
 	for i := range rdbs {
-		c, err := domino.DialOptions(addr, "ada", "pw", copts)
+		c, err := domino.DialOptions(r.addr["w10b"], "ada", "pw", copts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -331,57 +255,19 @@ func isDeadline(err error) bool { return errors.Is(err, domino.ErrDeadline) }
 // audit then reconciles the replicas in-process and checks every
 // acknowledged subject exists exactly once.
 func w10WriteSafety(docs int) w10Result {
-	base, err := os.MkdirTemp("", "domino-w10c")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(base)
-	d := domino.NewDirectory()
-	d.AddUser(domino.User{Name: "ada", Secret: "pw"})
-	d.AddUser(domino.User{Name: "alpha", Secret: "sa"})
-	d.AddUser(domino.User{Name: "beta", Secret: "sb"})
-	replica := domino.NewReplicaID()
-	mk := func(name, secret string) (*domino.Server, *domino.Database) {
-		srv, err := domino.NewServer(domino.ServerOptions{
-			Name: name, DataDir: filepath.Join(base, name),
-			Directory: d, PeerSecret: secret,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		db, err := srv.OpenDB("apps/w10c.nsf", domino.Options{Title: "w10c", ReplicaID: replica})
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, who := range []string{"ada", "alpha", "beta"} {
-			db.ACL().Set(who, domino.Editor)
-		}
-		return srv, db
-	}
-	alpha, dbA := mk("alpha", "sa")
-	beta, dbB := mk("beta", "sb")
-	// Close alpha first so its cluster link stops before beta's listener
-	// goes away (the reverse order spams dial-refused ship failures).
-	defer beta.Close()
-	defer alpha.Close()
+	// alpha listens behind the faultnet (injection off until the run
+	// starts). Its cluster push to beta means a create the stalled alpha
+	// applied but never acknowledged still reaches beta, which is exactly
+	// what makes blind re-creates dangerous and the read-back protocol
+	// necessary. The rig closes alpha first, so its cluster link stops
+	// before beta's listener goes away.
+	r := newRig(rigSpec{path: "apps/w10c.nsf", plans: map[string]faultnet.Plan{"alpha": {Seed: 20, StallProb: 0.2}}},
+		"alpha", "beta")
+	defer r.close()
+	r.srv["alpha"].EnableClustering(map[string]string{"beta": r.addr["beta"]})
+	fn, dbA, dbB := r.nets["alpha"], r.db["alpha"], r.db["beta"]
 
-	lnA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fn := faultnet.New(faultnet.Plan{Seed: 20, StallProb: 0.2})
-	fn.Disable()
-	aAddr := alpha.Serve(fn.Listener(lnA))
-	bAddr, err := beta.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Cluster push alpha -> beta: a create the stalled alpha applied but
-	// never acknowledged still reaches beta, which is exactly what makes
-	// blind re-creates dangerous and the read-back protocol necessary.
-	alpha.EnableClustering(map[string]string{"beta": bAddr})
-
-	fc, err := domino.DialFailover([]string{aAddr, bAddr}, "ada", "pw", domino.FailoverOptions{
+	fc, err := domino.DialFailover(r.addrs(), "ada", "pw", domino.FailoverOptions{
 		Client: domino.ClientOptions{
 			OpBudget: 200 * time.Millisecond, OpTimeout: time.Second,
 			MaxRetries: 1, BackoffBase: 5 * time.Millisecond, DialTimeout: 2 * time.Second,
@@ -470,11 +356,8 @@ func w10WriteSafety(docs int) w10Result {
 }
 
 const (
-	w10MinSpeedup  = 5.0  // acceptance: hedged p99 >= 5x better
-	w10MaxWaste    = 0.10 // acceptance: budgeted waste ratio ~0 (single-core client jitter slack)
-	w10DriftRatio  = 3.0  // guard tolerance on the hedged p99 (wall clock)
-	w10FloorMs     = 30.0
-	w10BaselineFmt = "BENCH_deadline.json"
+	w10MinSpeedup = 5.0  // acceptance: hedged p99 >= 5x better
+	w10MaxWaste   = 0.10 // acceptance: budgeted waste ratio ~0 (single-core client jitter slack)
 )
 
 func runW10(quick bool) {
@@ -482,11 +365,11 @@ func runW10(quick bool) {
 
 	trials := pick(quick, 12, 6)
 	docs := pick(quick, 50, 20)
-	cl := newW10Cluster(docs)
+	cl, unids := w10Rig(docs)
 	fmt.Println("  Phase A: read tail with one stalled mate — flat-timeout failover vs budget+hedge")
 	ta := newTable("mode", "trials", "p50 ms", "p99 ms", "hedges", "wins", "speedup")
-	baseline := w10Tail(cl, "baseline", trials)
-	hedged := w10Tail(cl, "hedged", trials)
+	baseline := w10Tail(cl, unids, "baseline", trials)
+	hedged := w10Tail(cl, unids, "hedged", trials)
 	cl.close()
 	if hedged.P99Ms > 0 {
 		hedged.SpeedupX = baseline.P99Ms / hedged.P99Ms
@@ -502,8 +385,7 @@ func runW10(quick bool) {
 	}
 	ta.print()
 	if hedged.SpeedupX < w10MinSpeedup {
-		fmt.Printf("  !! hedged p99 only %.1fx better than baseline (target >= %.0fx)\n",
-			hedged.SpeedupX, w10MinSpeedup)
+		fail("hedged p99 only %.1fx better than baseline (target >= %.0fx)", hedged.SpeedupX, w10MinSpeedup)
 	} else {
 		fmt.Printf("  hedged reads cut p99 %.1fx (target >= %.0fx)\n", hedged.SpeedupX, w10MinSpeedup)
 	}
@@ -520,7 +402,7 @@ func runW10(quick bool) {
 			fmt.Sprint(r.Wasted), fmt.Sprintf("%.2f", r.WasteRatio),
 			fmt.Sprint(r.BusySheds), fmt.Sprint(r.DeadlineSheds))
 		if mode == "budgeted" && r.WasteRatio > w10MaxWaste {
-			fmt.Printf("  !! budgeted waste ratio %.2f (target <= %.2f)\n", r.WasteRatio, w10MaxWaste)
+			fail("budgeted waste ratio %.2f (target <= %.2f)", r.WasteRatio, w10MaxWaste)
 		}
 	}
 	tb.print()
@@ -535,74 +417,10 @@ func runW10(quick bool) {
 	tc.add(ws.Docs, ws.Acked, ws.Recovered, ws.LostAcked, ws.Duplicated)
 	tc.print()
 	if ws.LostAcked != 0 || ws.Duplicated != 0 {
-		fmt.Printf("  !! audit failed: %d lost, %d duplicated acked writes\n", ws.LostAcked, ws.Duplicated)
+		fail("audit failed: %d lost, %d duplicated acked writes", ws.LostAcked, ws.Duplicated)
 	} else {
 		fmt.Println("  (invariant: zero acked writes lost or duplicated — ambiguity answered by read-back, not resend)")
 	}
 
-	f, err := os.Create(w10BaselineFmt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
-	fmt.Println("  baseline written to " + w10BaselineFmt)
-}
-
-// guardW10 re-runs a reduced Phase A probe against the committed
-// BENCH_deadline.json: the hedged p99 must still beat the deadline-less
-// baseline by the acceptance ratio outright, and its absolute value is
-// checked with generous wall-clock tolerances. The committed Phase B and C
-// rows are re-checked as invariants (waste ratio, audit zeros).
-func guardW10(t *table) string {
-	f, err := os.Open(w10BaselineFmt)
-	if err != nil {
-		return "W10 baseline missing; run `make bench-deadline` and commit " + w10BaselineFmt
-	}
-	var base []w10Result
-	err = json.NewDecoder(f).Decode(&base)
-	f.Close()
-	if err != nil {
-		return "W10 baseline unreadable: " + err.Error()
-	}
-	var want float64
-	for _, r := range base {
-		switch {
-		case r.Phase == "tail" && r.Mode == "hedged":
-			want = r.P99Ms
-		case r.Phase == "waste" && r.Mode == "budgeted" && r.WasteRatio > w10MaxWaste:
-			return fmt.Sprintf("W10 committed budgeted waste ratio %.2f > %.2f", r.WasteRatio, w10MaxWaste)
-		case r.Phase == "write-safety" && (r.LostAcked != 0 || r.Duplicated != 0):
-			return fmt.Sprintf("W10 committed audit shows %d lost / %d duplicated acked writes", r.LostAcked, r.Duplicated)
-		}
-	}
-	if want == 0 {
-		return "W10 hedged tail row missing from baseline; run `make bench-deadline`"
-	}
-	cl := newW10Cluster(10)
-	defer cl.close()
-	probe := 3
-	baseRun := w10Tail(cl, "baseline", probe)
-	hedgeRun := w10Tail(cl, "hedged", probe)
-	speedup := 0.0
-	if hedgeRun.P99Ms > 0 {
-		speedup = baseRun.P99Ms / hedgeRun.P99Ms
-	}
-	if speedup < w10MinSpeedup {
-		return fmt.Sprintf("W10 hedged p99 only %.1fx better than stalled-mate baseline (want >= %.0fx)",
-			speedup, w10MinSpeedup)
-	}
-	verdict := "ok"
-	msg := ""
-	if hedgeRun.P99Ms > want*w10DriftRatio && hedgeRun.P99Ms > want+w10FloorMs {
-		verdict = "REGRESSED"
-		msg = fmt.Sprintf("W10 hedged p99 %.1fms vs baseline %.1fms", hedgeRun.P99Ms, want)
-	}
-	t.add("W10 hedged p99 (stalled mate)", fmt.Sprintf("%.1fms", want),
-		fmt.Sprintf("%.1fms", hedgeRun.P99Ms), verdict)
-	return msg
+	benchW10.save(results)
 }

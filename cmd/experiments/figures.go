@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"time"
 
 	domino "repro"
@@ -24,10 +22,10 @@ func runF1(quick bool) {
 	t := newTable("changed", "incremental ms", "incr bytes", "full-copy ms", "full bytes", "bytes saved")
 	for _, pct := range []int{1, 10, 50, 100} {
 		replica := domino.NewReplicaID()
-		a := tempDB("f1-a", replica)
-		b := tempDB("f1-b", replica)
+		a := tempDB(domino.Options{Title: "f1-a", ReplicaID: replica})
+		b := tempDB(domino.Options{Title: "f1-b", ReplicaID: replica})
 		g := workload.New(11)
-		docs := seedDocs(a, g, corpus, 512)
+		docs := seedDocs(a.Database, g, corpus, 512)
 		mustReplicate(b, a, "a")
 		// Mutate pct% of the corpus at a.
 		sess := a.Session("exp")
@@ -46,7 +44,7 @@ func runF1(quick bool) {
 		// Full-copy baseline over the same pair (state already converged, so
 		// the transfer volume is the whole database either way).
 		start = time.Now()
-		fc, err := repl.FullCopy(b, &repl.LocalPeer{DB: a})
+		fc, err := repl.FullCopy(b.Database, &repl.LocalPeer{DB: a.Database})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -71,11 +69,11 @@ func runF2(quick bool) {
 		results := make(map[bool]result)
 		for _, merge := range []bool{false, true} {
 			replica := domino.NewReplicaID()
-			a := tempDB("f2-a", replica)
-			b := tempDB("f2-b", replica)
+			a := tempDB(domino.Options{Title: "f2-a", ReplicaID: replica})
+			b := tempDB(domino.Options{Title: "f2-b", ReplicaID: replica})
 			g := workload.New(12)
 			rng := rand.New(rand.NewSource(int64(overlap*100) + 7))
-			seeded := seedDocs(a, g, docs, 256)
+			seeded := seedDocs(a.Database, g, docs, 256)
 			mustReplicate(b, a, "a")
 			// Concurrent edits: each doc edited on both replicas; with
 			// probability `overlap` both writers touch the same item.
@@ -104,11 +102,11 @@ func runF2(quick bool) {
 				}
 			}
 			opts := domino.ReplicationOptions{PeerName: "a", Apply: domino.ApplyOptions{FieldMerge: merge}}
-			st1, err := domino.Replicate(b, &domino.LocalPeer{DB: a, Opts: opts.Apply}, opts)
+			st1, err := domino.Replicate(b.Database, &domino.LocalPeer{DB: a.Database, Opts: opts.Apply}, opts)
 			if err != nil {
 				log.Fatal(err)
 			}
-			st2, err := domino.Replicate(b, &domino.LocalPeer{DB: a, Opts: opts.Apply}, opts)
+			st2, err := domino.Replicate(b.Database, &domino.LocalPeer{DB: a.Database, Opts: opts.Apply}, opts)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -142,11 +140,11 @@ func runF4(quick bool) {
 	t := newTable("topology", "replicas", "rounds to converge", "sessions", "bytes moved")
 	for _, topo := range []string{"hub-spoke", "ring"} {
 		replica := domino.NewReplicaID()
-		dbs := make([]*domino.Database, nReplicas)
+		dbs := make([]*scratchDB, nReplicas)
 		for i := range dbs {
-			dbs[i] = tempDB(fmt.Sprintf("f4-%d", i), replica)
+			dbs[i] = tempDB(domino.Options{Title: fmt.Sprintf("f4-%d", i), ReplicaID: replica})
 			g := workload.New(int64(100 + i))
-			seedDocs(dbs[i], g, docsEach, 256)
+			seedDocs(dbs[i].Database, g, docsEach, 256)
 		}
 		rounds, sessions, bytes := 0, 0, int64(0)
 		for rounds = 1; rounds <= 20; rounds++ {
@@ -161,11 +159,7 @@ func runF4(quick bool) {
 			case "ring":
 				for i := 0; i < nReplicas; i++ {
 					j := (i + 1) % nReplicas
-					st, err := domino.Replicate(dbs[i], &domino.LocalPeer{DB: dbs[j]},
-						domino.ReplicationOptions{PeerName: fmt.Sprintf("r%d", j)})
-					if err != nil {
-						log.Fatal(err)
-					}
+					st := mustReplicate(dbs[i], dbs[j], fmt.Sprintf("r%d", j))
 					sessions++
 					bytes += st.BytesIn + st.BytesOut
 				}
@@ -185,8 +179,8 @@ func runF4(quick bool) {
 }
 
 // converged checks all replicas hold the same document fingerprint set.
-func converged(dbs []*domino.Database) bool {
-	fingerprint := func(db *domino.Database) map[string]bool {
+func converged(dbs []*scratchDB) bool {
+	fingerprint := func(db *scratchDB) map[string]bool {
 		out := make(map[string]bool)
 		db.ScanAll(func(n *domino.Note) bool {
 			if n.Class == domino.ClassDocument {
@@ -219,15 +213,15 @@ func runT6(quick bool) {
 	// Local delivery.
 	d := domino.NewDirectory()
 	d.AddUser(domino.User{Name: "ada", MailFile: "mail/ada.nsf"})
-	mailbox := tempDB("t6-box", domino.NewReplicaID())
-	inbox := tempDB("t6-inbox", domino.NewReplicaID())
+	mailbox := tempDB(domino.Options{Title: "t6-box"})
+	inbox := tempDB(domino.Options{Title: "t6-inbox"})
 	defer mailbox.Close()
 	defer inbox.Close()
 	r := &domino.Router{
 		ServerName:   "local",
-		Mailbox:      mailbox,
+		Mailbox:      mailbox.Database,
 		Directory:    d,
-		OpenMailFile: func(string) (*domino.Database, error) { return inbox, nil },
+		OpenMailFile: func(string) (*domino.Database, error) { return inbox.Database, nil },
 	}
 	g := workload.New(13)
 	for i := 0; i < msgs; i++ {
@@ -249,28 +243,10 @@ func runT6(quick bool) {
 	t.add("local delivery", msgs, ms(local), us(local/time.Duration(msgs)))
 
 	// Cross-server over loopback TCP.
-	base, _ := os.MkdirTemp("", "domino-t6")
-	dir2 := domino.NewDirectory()
-	dir2.AddUser(domino.User{Name: "bob", Secret: "pw", MailFile: "mail/bob.nsf", MailServer: "remote"})
-	dir2.AddUser(domino.User{Name: "hub", Secret: "s1"})
-	dir2.AddUser(domino.User{Name: "remote", Secret: "s2"})
-	hub, err := domino.NewServer(domino.ServerOptions{
-		Name: "hub", DataDir: filepath.Join(base, "hub"), Directory: dir2, PeerSecret: "s1"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer hub.Close()
-	remote, err := domino.NewServer(domino.ServerOptions{
-		Name: "remote", DataDir: filepath.Join(base, "remote"), Directory: dir2, PeerSecret: "s2"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer remote.Close()
-	remoteAddr, err := remote.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	hub.SetPeers(map[string]string{"remote": remoteAddr})
+	cl := newRig(rigSpec{}, "hub", "remote")
+	defer cl.close()
+	cl.d.AddUser(domino.User{Name: "bob", Secret: "pw", MailFile: "mail/bob.nsf", MailServer: "remote"})
+	hub, remote := cl.srv["hub"], cl.srv["remote"]
 	wireMsgs := pick(quick, 200, 20)
 	for i := 0; i < wireMsgs; i++ {
 		m := g.Document(512)
@@ -301,7 +277,7 @@ func runF5(quick bool) {
 	}
 	t := newTable("notes", "indexed get µs", "scan-to-find ms", "speedup")
 	for _, n := range sizes {
-		db := tempDB("f5", domino.NewReplicaID())
+		db := tempDB(domino.Options{Title: "f5"})
 		g := workload.New(14)
 		sess := db.Session("exp")
 		docs := make([]*domino.Note, n)

@@ -5,7 +5,9 @@
 //
 //	experiments            # run everything
 //	experiments -exp F1    # run one experiment
-//	experiments -quick     # smaller sizes for a fast pass
+//	experiments -quick     # smaller sizes; prints only, writes no BENCH file
+//
+// The run exits 1 when any invariant an experiment audits was violated.
 package main
 
 import (
@@ -51,7 +53,6 @@ var experiments = []experiment{
 
 func main() {
 	exp := flag.String("exp", "all", "experiment id to run (T1..T7, F1..F5, or all)")
-	quick := flag.Bool("quick", false, "run with reduced sizes")
 	flag.Parse()
 
 	want := strings.ToUpper(*exp)
@@ -61,12 +62,16 @@ func main() {
 			continue
 		}
 		fmt.Printf("\n=== %s: %s ===\n", e.id, e.title)
-		e.run(*quick)
+		e.run(*quickRun)
 		ran++
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
+	}
+	if failures > 0 {
+		fmt.Fprintf(os.Stderr, "%d invariant check(s) failed\n", failures)
+		os.Exit(1)
 	}
 }
 

@@ -1,12 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
-	"net"
-	"os"
-	"path/filepath"
 	"time"
 
 	domino "repro"
@@ -53,87 +49,23 @@ type w8Result struct {
 	KilledMate        string  `json:"killed_mate,omitempty"`
 }
 
-// w8Cluster is a mesh deployment: every server behind its own faultnet
-// listener, all sharing one directory and one replica of w8Path.
+// w8Cluster is a mesh deployment on a rig: each server with a plan sits
+// behind its own faultnet listener, and all hold one replica of w8Path.
 type w8Cluster struct {
-	base    string
-	d       *domino.Directory
-	names   []string
-	replica domino.ReplicaID
-	srv     map[string]*domino.Server
-	addr    map[string]string
-	nets    map[string]*faultnet.Net
+	*rig
 	mesh    map[string]*domino.Mesh
 	topo    []domino.TopoLink
 	meshOpt domino.MeshOptions
 }
 
-func newW8Cluster(names []string, planFor func(name string) faultnet.Plan) *w8Cluster {
-	base, err := os.MkdirTemp("", "domino-w8")
-	if err != nil {
-		log.Fatal(err)
-	}
-	c := &w8Cluster{
-		base: base, d: domino.NewDirectory(), names: names,
-		replica: domino.NewReplicaID(),
-		srv:     map[string]*domino.Server{}, addr: map[string]string{},
-		nets: map[string]*faultnet.Net{}, mesh: map[string]*domino.Mesh{},
+func newW8Cluster(names []string, plans map[string]faultnet.Plan) *w8Cluster {
+	return &w8Cluster{
+		rig:  newRig(rigSpec{path: w8Path, plans: plans}, names...),
+		mesh: map[string]*domino.Mesh{},
 		meshOpt: domino.MeshOptions{
 			Interval: 50 * time.Millisecond,
 			Cooldown: 250 * time.Millisecond,
 		},
-	}
-	c.d.AddUser(domino.User{Name: "ada", Secret: "pw"})
-	for _, name := range names {
-		c.d.AddUser(domino.User{Name: name, Secret: name + "-secret"})
-	}
-	for _, name := range names {
-		c.boot(name, planFor(name))
-	}
-	c.setPeers()
-	return c
-}
-
-// boot creates (or re-creates, after a kill) one server: open the shared
-// replica, serve behind a fresh faultnet listener, record the address.
-func (c *w8Cluster) boot(name string, plan faultnet.Plan) {
-	s, err := domino.NewServer(domino.ServerOptions{
-		Name: name, DataDir: filepath.Join(c.base, name),
-		Directory: c.d, PeerSecret: name + "-secret",
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	db, err := s.OpenDB(w8Path, domino.Options{Title: "disc", ReplicaID: c.replica})
-	if err != nil {
-		log.Fatal(err)
-	}
-	db.ACL().Set("ada", domino.Editor)
-	for _, other := range c.names {
-		db.ACL().Set(other, domino.Editor)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fn := faultnet.New(plan)
-	fn.Disable()
-	c.srv[name] = s
-	c.nets[name] = fn
-	c.addr[name] = s.Serve(fn.Listener(ln))
-}
-
-// setPeers refreshes every live server's peer address map — needed at
-// startup and again after a restart lands a mate on a new port.
-func (c *w8Cluster) setPeers() {
-	for name, s := range c.srv {
-		peers := map[string]string{}
-		for _, other := range c.names {
-			if other != name {
-				peers[other] = c.addr[other]
-			}
-		}
-		s.SetPeers(peers)
 	}
 }
 
@@ -161,16 +93,12 @@ func (c *w8Cluster) startMesh(name string) {
 // kill closes one server; restart boots it again from the same data
 // directory (new port) and rejoins it to the mesh.
 func (c *w8Cluster) kill(name string) {
-	if err := c.srv[name].Close(); err != nil {
-		log.Fatal(err)
-	}
-	delete(c.srv, name)
+	c.rig.kill(name)
 	delete(c.mesh, name)
 }
 
-func (c *w8Cluster) restart(name string, plan faultnet.Plan) {
-	c.boot(name, plan)
-	c.setPeers()
+func (c *w8Cluster) restart(name string) {
+	c.rig.restart(name)
 	c.startMesh(name)
 }
 
@@ -185,11 +113,7 @@ func (c *w8Cluster) churn(on bool) {
 }
 
 func (c *w8Cluster) write(name string, n int) {
-	db, ok := c.srv[name].DB(w8Path)
-	if !ok {
-		log.Fatalf("w8: %s lost %s", name, w8Path)
-	}
-	sess := db.Session("ada")
+	sess := c.db[name].Session("ada")
 	for i := 0; i < n; i++ {
 		doc := domino.NewDocument()
 		doc.SetText("Subject", fmt.Sprintf("%s doc %d", name, i))
@@ -200,23 +124,13 @@ func (c *w8Cluster) write(name string, n int) {
 	}
 }
 
-func (c *w8Cluster) databases() map[string]*domino.Database {
-	out := map[string]*domino.Database{}
-	for name, s := range c.srv {
-		if db, ok := s.DB(w8Path); ok {
-			out[name] = db
-		}
-	}
-	return out
-}
-
 // waitConverged polls the convergence audit; it returns the elapsed time
 // and whether the replicas converged before the deadline.
 func (c *w8Cluster) waitConverged(timeout time.Duration) (time.Duration, mesh.Audit) {
 	start := time.Now()
 	deadline := start.Add(timeout)
 	for {
-		audit, err := mesh.AuditConvergence(c.databases())
+		audit, err := mesh.AuditConvergence(c.db)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -225,13 +139,6 @@ func (c *w8Cluster) waitConverged(timeout time.Duration) (time.Duration, mesh.Au
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-}
-
-func (c *w8Cluster) close() {
-	for _, s := range c.srv {
-		s.Close()
-	}
-	os.RemoveAll(c.base)
 }
 
 // w8Churn runs one topology through the churn schedule: writes under
@@ -248,13 +155,12 @@ func w8Churn(topoName string, servers, docsPer int, quick bool) w8Result {
 		DelayProb: 0.05, MaxDelay: 2 * time.Millisecond}
 	partitioned := base
 	partitioned.DropProb = 0.85
-	planFor := func(name string) faultnet.Plan {
-		if name == names[1] {
-			return partitioned
-		}
-		return base
+	plans := map[string]faultnet.Plan{}
+	for _, name := range names {
+		plans[name] = base
 	}
-	c := newW8Cluster(names, planFor)
+	plans[names[1]] = partitioned
+	c := newW8Cluster(names, plans)
 	defer c.close()
 
 	template := domino.MeshLink{Glob: "apps/*.nsf", Class: mesh.Hot, Interval: 50 * time.Millisecond}
@@ -290,7 +196,7 @@ func w8Churn(topoName string, servers, docsPer int, quick bool) w8Result {
 		}
 	}
 	time.Sleep(settle)
-	c.restart(victim, base)
+	c.restart(victim)
 	c.write(victim, docsPer-docsPer/2)
 
 	// Heal the network and measure time to convergence.
@@ -331,7 +237,7 @@ func w8Churn(topoName string, servers, docsPer int, quick bool) w8Result {
 // silently linger — and the fingerprints must still converge.
 func w8Selective(docs int) w8Result {
 	names := []string{"src", "dst"}
-	c := newW8Cluster(names, func(string) faultnet.Plan { return faultnet.Plan{} })
+	c := newW8Cluster(names, nil)
 	defer c.close()
 	link := domino.MeshLink{
 		Name: "sel-link", Peer: "dst",
@@ -340,8 +246,7 @@ func w8Selective(docs int) w8Result {
 	}
 	c.applyTopology([]domino.TopoLink{{Server: "src", Link: link}})
 
-	srcDB, _ := c.srv["src"].DB(w8Path)
-	sess := srcDB.Session("ada")
+	sess := c.db["src"].Session("ada")
 	var edited []*domino.Note
 	for i := 0; i < docs; i++ {
 		doc := domino.NewDocument()
@@ -366,10 +271,9 @@ func w8Selective(docs int) w8Result {
 	}
 	elapsed, audit := c.waitConverged(30 * time.Second)
 
-	dstDB, _ := c.srv["dst"].DB(w8Path)
 	stubs := 0
 	for _, doc := range edited {
-		if n, err := dstDB.RawGet(doc.OID.UNID); err == nil && n.IsSelStub() {
+		if n, err := c.db["dst"].RawGet(doc.OID.UNID); err == nil && n.IsSelStub() {
 			stubs++
 		}
 	}
@@ -389,70 +293,7 @@ func w8Selective(docs int) w8Result {
 			res.NotesOut += st.NotesOut + st.Shipped
 		}
 	}
-	if stubs != len(edited) {
-		fmt.Printf("  !! only %d/%d deselected docs observed as selection stubs\n", stubs, len(edited))
-	}
 	return res
-}
-
-const meshBaselineFile = "BENCH_mesh.json"
-
-// loadMeshBaseline reads the committed W8 baseline (nil when absent).
-func loadMeshBaseline() []w8Result {
-	raw, err := os.ReadFile(meshBaselineFile)
-	if err != nil {
-		return nil
-	}
-	var results []w8Result
-	if err := json.Unmarshal(raw, &results); err != nil {
-		return nil
-	}
-	return results
-}
-
-// W8 drift tolerances: convergence time is wall-clock over a faulted
-// network with breaker cooldowns in the path, so the guard is generous —
-// it hunts a broken scheduler (convergence taking many cooldown cycles or
-// never finishing), not jitter.
-const (
-	w8DriftRatio = 3.0
-	w8FloorMs    = 500.0
-)
-
-// guardW8 re-runs the ring churn at quick sizes: the convergence and
-// zero-spurious-conflict invariants must hold outright, and time to
-// convergence is checked against the committed BENCH_mesh.json.
-func guardW8(t *table) string {
-	var want float64
-	for _, r := range loadMeshBaseline() {
-		if r.Topology == "ring" {
-			want = r.ConvergeMs
-		}
-	}
-	if want == 0 {
-		return "W8 ring baseline missing; run `make bench-mesh` and commit " + meshBaselineFile
-	}
-	got := 0.0
-	for trial := 0; trial < driftTrials; trial++ {
-		r := w8Churn("ring", 4, 6, true)
-		if !r.Converged {
-			return "W8 ring replicas failed to converge"
-		}
-		if r.SpuriousConflicts > 0 {
-			return fmt.Sprintf("W8 ring produced %d spurious conflicts", r.SpuriousConflicts)
-		}
-		if trial == 0 || r.ConvergeMs < got {
-			got = r.ConvergeMs
-		}
-	}
-	verdict := "ok"
-	msg := ""
-	if got > want*w8DriftRatio && got > want+w8FloorMs {
-		verdict = "REGRESSED"
-		msg = fmt.Sprintf("W8 ring convergence %.0fms vs baseline %.0fms", got, want)
-	}
-	t.add("W8 ring convergence", fmt.Sprintf("%.0fms", want), fmt.Sprintf("%.0fms", got), verdict)
-	return msg
 }
 
 func runW8(quick bool) {
@@ -480,35 +321,20 @@ func runW8(quick bool) {
 		"0", "0", "")
 	tab.print()
 
-	bad := false
+	bad := sel.SelStubs != (selDocs+1)/2
 	for _, r := range results {
 		if !r.Converged || r.SpuriousConflicts > 0 {
 			bad = true
 		}
 	}
-	if sel.SelStubs != (selDocs+1)/2 {
-		bad = true
-	}
 	if bad {
-		fmt.Println("  !! convergence audit FAILED (non-converged replicas, spurious conflicts, or missing selection stubs)")
+		fail("convergence audit FAILED (non-converged replicas, spurious conflicts, or %d/%d selection stubs)",
+			sel.SelStubs, (selDocs+1)/2)
 	} else {
 		fmt.Println("  (invariants: identical fingerprints on every replica, zero spurious conflicts,")
 		fmt.Printf("   every deselected document observed as a selection stub — %d/%d)\n",
 			sel.SelStubs, sel.SelStubs)
 	}
 
-	f, err := os.Create(meshBaselineFile)
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
-	fmt.Println("  baseline written to " + meshBaselineFile)
-	if bad {
-		os.Exit(1)
-	}
+	benchW8.save(results)
 }

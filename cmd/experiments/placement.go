@@ -1,12 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
-	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,82 +45,6 @@ type w6Result struct {
 	RehomeMaxMs    float64 `json:"rehome_max_ms,omitempty"`
 }
 
-// w6Cluster is a shared-directory cluster for the placement experiment.
-type w6Cluster struct {
-	base  string
-	d     *domino.Directory
-	names []string
-	srv   map[string]*domino.Server
-	addr  map[string]string
-}
-
-func newW6Cluster(names ...string) *w6Cluster {
-	base, err := os.MkdirTemp("", "domino-w6")
-	if err != nil {
-		log.Fatal(err)
-	}
-	c := &w6Cluster{
-		base: base, d: domino.NewDirectory(), names: names,
-		srv: map[string]*domino.Server{}, addr: map[string]string{},
-	}
-	c.d.AddUser(domino.User{Name: "ada", Secret: "pw"})
-	for _, name := range names {
-		c.d.AddUser(domino.User{Name: name, Secret: name + "-secret"})
-		s, err := domino.NewServer(domino.ServerOptions{
-			Name: name, DataDir: filepath.Join(base, name),
-			Directory: c.d, PeerSecret: name + "-secret",
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		c.srv[name] = s
-	}
-	for _, name := range names {
-		addr, err := c.srv[name].Start("127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		c.addr[name] = addr
-	}
-	for _, name := range names {
-		peers := map[string]string{}
-		for _, other := range names {
-			if other != name {
-				peers[other] = c.addr[other]
-			}
-		}
-		c.srv[name].SetPeers(peers)
-	}
-	return c
-}
-
-func (c *w6Cluster) open(mate, path string, replica domino.ReplicaID) *domino.Database {
-	db, err := c.srv[mate].OpenDB(path, domino.Options{Title: path, ReplicaID: replica})
-	if err != nil {
-		log.Fatal(err)
-	}
-	db.ACL().Set("ada", domino.Editor)
-	for _, name := range c.names {
-		db.ACL().Set(name, domino.Editor)
-	}
-	return db
-}
-
-func (c *w6Cluster) close() {
-	for _, s := range c.srv {
-		s.Close()
-	}
-	os.RemoveAll(c.base)
-}
-
-func (c *w6Cluster) addrs() []string {
-	out := make([]string, 0, len(c.names))
-	for _, n := range c.names {
-		out = append(out, c.addr[n])
-	}
-	return out
-}
-
 // ackedCreate issues one create through a failover handle with the
 // read-back recovery protocol; it returns false only if the write was
 // never acknowledged anywhere.
@@ -143,7 +64,7 @@ func ackedCreate(db *domino.FailoverDB, n *domino.Note) bool {
 // w6LiveMove runs Phase A: one database, a streaming writer, a live move
 // under it.
 func w6LiveMove(docs int) w6Result {
-	c := newW6Cluster("alpha", "beta")
+	c := newRig(rigSpec{}, "alpha", "beta")
 	defer c.close()
 	const path = "apps/move.nsf"
 	c.open("alpha", path, domino.NewReplicaID())
@@ -195,7 +116,7 @@ func w6LiveMove(docs int) w6Result {
 	waitAcked(docs / 2)
 
 	res, err := domino.MoveDatabase(c.d, c.srv["alpha"], c.srv["beta"], path, domino.MoveOptions{
-		BackupRoot: filepath.Join(c.base, "imgroot"), QuiesceTimeout: 10 * time.Second,
+		BackupRoot: filepath.Join(c.dir, "imgroot"), QuiesceTimeout: 10 * time.Second,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -209,17 +130,11 @@ func w6LiveMove(docs int) w6Result {
 	stop.Store(true)
 	<-done
 
-	lost := 0
 	newHome, _ := c.srv["beta"].DB(path)
-	for _, u := range acked {
-		if _, err := newHome.RawGet(u); err != nil {
-			lost++
-		}
-	}
 	return w6Result{
 		Phase:         "live-move",
 		Acked:         len(acked),
-		LostAcked:     lost,
+		LostAcked:     lostAcked(acked, newHome),
 		MoveMs:        float64(res.Elapsed.Nanoseconds()) / 1e6,
 		MovedNotes:    res.Moved,
 		CatchupRounds: res.Rounds,
@@ -231,7 +146,7 @@ func w6LiveMove(docs int) w6Result {
 // w6Rehome runs Phase B: rendezvous-place a namespace over three mates,
 // kill one, recover its share onto the survivors.
 func w6Rehome(dbs, docs, delta, post int) w6Result {
-	c := newW6Cluster("alpha", "beta", "gamma")
+	c := newRig(rigSpec{}, "alpha", "beta", "gamma")
 	defer c.close()
 
 	// Rendezvous-place the namespace, one home mate per database, and open
@@ -280,7 +195,7 @@ func w6Rehome(dbs, docs, delta, post int) w6Result {
 	// Scheduled hot backups on every mate, then more writes: the delta
 	// exists only on the home mates' disks, beyond the images.
 	for _, name := range c.names {
-		if _, err := c.srv[name].BackupAll(filepath.Join(c.base, "backup-"+name), true); err != nil {
+		if _, err := c.srv[name].BackupAll(filepath.Join(c.dir, "backup-"+name), true); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -299,7 +214,7 @@ func w6Rehome(dbs, docs, delta, post int) w6Result {
 			dead = name
 		}
 	}
-	c.srv[dead].Close()
+	c.kill(dead)
 
 	// Re-home every database the dead mate homed onto the survivors
 	// (round-robin), from its backup image plus the dead disk.
@@ -320,8 +235,8 @@ func w6Rehome(dbs, docs, delta, post int) w6Result {
 		dst := survivors[next%len(survivors)]
 		next++
 		res, err := domino.RecoverDatabase(c.d, dead, c.srv[dst], path, domino.RecoverOptions{
-			BackupRoot:  filepath.Join(c.base, "backup-"+dead),
-			DeadDataDir: filepath.Join(c.base, dead),
+			BackupRoot:  filepath.Join(c.dir, "backup-"+dead),
+			DeadDataDir: filepath.Join(c.dir, dead),
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -344,14 +259,9 @@ func w6Rehome(dbs, docs, delta, post int) w6Result {
 		if !ok {
 			log.Fatalf("w6: %s has no copy of %s", home[path], path)
 		}
-		for _, u := range acked[path] {
-			total++
-			if _, err := db.RawGet(u); err != nil {
-				lost++
-			}
-		}
+		total += len(acked[path])
+		lost += lostAcked(acked[path], db)
 	}
-	sort.Slice(rehomeTimes, func(i, j int) bool { return rehomeTimes[i] < rehomeTimes[j] })
 	res := w6Result{
 		Phase:     "rehome",
 		Databases: dbs,
@@ -362,65 +272,10 @@ func w6Rehome(dbs, docs, delta, post int) w6Result {
 		Redirects: fc.Stats().WrongMateRedirects,
 	}
 	if len(rehomeTimes) > 0 {
-		res.RehomeMedianMs = float64(percentile(rehomeTimes, 0.50).Nanoseconds()) / 1e6
-		res.RehomeMaxMs = float64(rehomeTimes[len(rehomeTimes)-1].Nanoseconds()) / 1e6
+		res.RehomeMedianMs = float64(pct(rehomeTimes, 0.50).Nanoseconds()) / 1e6
+		res.RehomeMaxMs = float64(pct(rehomeTimes, 1).Nanoseconds()) / 1e6
 	}
 	return res
-}
-
-const placementBaselineFile = "BENCH_placement.json"
-
-// loadPlacementBaseline reads the committed W6 baseline (nil when absent).
-func loadPlacementBaseline() []w6Result {
-	raw, err := os.ReadFile(placementBaselineFile)
-	if err != nil {
-		return nil
-	}
-	var results []w6Result
-	if err := json.Unmarshal(raw, &results); err != nil {
-		return nil
-	}
-	return results
-}
-
-// W6 drift tolerances: a re-home is wall-clock dominated (backup restore,
-// file replication, directory flip), so the guard is generous — it hunts a
-// broken move pipeline, not scheduler noise.
-const (
-	w6DriftRatio = 2.0  // fail when worse than baseline by more than 2x
-	w6FloorMs    = 50.0 // and by more than 50ms
-)
-
-// guardW6 re-measures the dead-mate re-home median at quick sizes against
-// the committed BENCH_placement.json; returns a failure message or "".
-func guardW6(t *table) string {
-	var want float64
-	for _, r := range loadPlacementBaseline() {
-		if r.Phase == "rehome" {
-			want = r.RehomeMedianMs
-		}
-	}
-	if want == 0 {
-		return "W6 rehome median missing from baseline; run `make bench-placement` and commit " + placementBaselineFile
-	}
-	got := 0.0
-	for trial := 0; trial < driftTrials; trial++ {
-		r := w6Rehome(6, 8, 4, 0)
-		if r.LostAcked > 0 {
-			return fmt.Sprintf("W6 re-home lost %d acked writes", r.LostAcked)
-		}
-		if trial == 0 || r.RehomeMedianMs < got {
-			got = r.RehomeMedianMs
-		}
-	}
-	verdict := "ok"
-	msg := ""
-	if got > want*w6DriftRatio && got > want+w6FloorMs {
-		verdict = "REGRESSED"
-		msg = fmt.Sprintf("W6 rehome median %.1fms vs baseline %.1fms", got, want)
-	}
-	t.add("W6 rehome median", fmt.Sprintf("%.1fms", want), fmt.Sprintf("%.1fms", got), verdict)
-	return msg
 }
 
 func runW6(quick bool) {
@@ -434,7 +289,7 @@ func runW6(quick bool) {
 	fmt.Println("  Phase A: live move under a streaming writer")
 	ta.print()
 	if mv.LostAcked != 0 {
-		fmt.Printf("  !! %d acknowledged writes lost across the move\n", mv.LostAcked)
+		fail("%d acknowledged writes lost across the move", mv.LostAcked)
 	} else {
 		fmt.Println("  (invariant: zero acknowledged writes lost across the move)")
 	}
@@ -449,20 +304,10 @@ func runW6(quick bool) {
 	fmt.Println("  Phase B: kill the mate homing the largest namespace share, re-home onto survivors")
 	tb.print()
 	if re.LostAcked != 0 {
-		fmt.Printf("  !! %d acknowledged writes lost across the re-home\n", re.LostAcked)
+		fail("%d acknowledged writes lost across the re-home", re.LostAcked)
 	} else {
 		fmt.Println("  (invariant: zero acknowledged writes lost across the mate kill + re-home)")
 	}
 
-	f, err := os.Create("BENCH_placement.json")
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
-	fmt.Println("  baseline written to BENCH_placement.json")
+	benchW6.save(results)
 }

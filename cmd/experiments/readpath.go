@@ -1,13 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,20 +41,6 @@ type w4Result struct {
 	HitRate     float64 `json:"hit_rate,omitempty"`
 }
 
-// w4DB opens a database with explicit store options.
-func w4DB(title string, opts store.Options) *domino.Database {
-	dir, err := os.MkdirTemp("", "domino-exp")
-	if err != nil {
-		log.Fatal(err)
-	}
-	db, err := domino.Open(filepath.Join(dir, "exp.nsf"),
-		domino.Options{Title: title, ReplicaID: domino.NewReplicaID(), Store: opts})
-	if err != nil {
-		log.Fatal(err)
-	}
-	return db
-}
-
 // w4Modes are the two latching disciplines under comparison.
 var w4Modes = []struct {
 	name string
@@ -71,10 +53,10 @@ var w4Modes = []struct {
 // w4ReadThroughput measures RawGet throughput from `readers` goroutines
 // while one writer continuously updates documents.
 func w4ReadThroughput(mode string, opts store.Options, docs, readers int, dur time.Duration) w4Result {
-	db := w4DB("w4a", opts)
+	db := tempDB(domino.Options{Title: "w4a", Store: opts})
 	defer db.Close()
 	g := workload.New(41)
-	corpus := seedDocs(db, g, docs, 512)
+	corpus := seedDocs(db.Database, g, docs, 512)
 
 	var stop atomic.Bool
 	var writerOps atomic.Int64
@@ -151,10 +133,10 @@ func w4ReadThroughput(mode string, opts store.Options, docs, readers int, dur ti
 // back-to-back: the serialized discipline makes the writer wait out whole
 // scans (p99 ≈ scan length); snapshot scans keep it µs-scale.
 func w4ScanInterference(mode string, opts store.Options, docs, puts int) w4Result {
-	db := w4DB("w4b", opts)
+	db := tempDB(domino.Options{Title: "w4b", Store: opts})
 	defer db.Close()
 	g := workload.New(47)
-	corpus := seedDocs(db, g, docs, 512)
+	corpus := seedDocs(db.Database, g, docs, 512)
 
 	var stop atomic.Bool
 	var scans atomic.Int64
@@ -188,15 +170,14 @@ func w4ScanInterference(mode string, opts store.Options, docs, puts int) w4Resul
 	stop.Store(true)
 	wg.Wait()
 
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	toUs := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 	res := w4Result{
 		Phase:     "scan-interference",
 		Mode:      mode,
 		Docs:      docs,
 		WriterOps: int64(puts),
-		PutP50us:  toUs(percentile(lats, 0.50)),
-		PutP99us:  toUs(percentile(lats, 0.99)),
+		PutP50us:  toUs(pct(lats, 0.50)),
+		PutP99us:  toUs(pct(lats, 0.99)),
 	}
 	if s := scans.Load(); s > 0 {
 		res.ScanAvgMs = float64(scanNanos.Load()) / float64(s) / 1e6
@@ -243,51 +224,5 @@ func runW4(quick bool) {
 	tb.print()
 	fmt.Println("  (shape check: serialized put p99 ≈ scan length; snapshot scans keep it µs-scale)")
 
-	base := loadRPBaseline()
-	base.W4 = results
-	saveRPBaseline(base)
-	fmt.Println("  baseline written to " + rpBaselineFile)
-}
-
-// --- read-path baseline file (shared by W4, W9, and the drift guard) ---
-
-// rpBaseline is the committed read-path baseline: the W4 latching matrix
-// plus the W9 bulk-read measurements. Each experiment rewrites only its
-// own section, so regenerating one does not discard the other.
-type rpBaseline struct {
-	W4 []w4Result `json:"w4"`
-	W9 []w9Result `json:"w9"`
-}
-
-const rpBaselineFile = "BENCH_readpath.json"
-
-func loadRPBaseline() rpBaseline {
-	var base rpBaseline
-	raw, err := os.ReadFile(rpBaselineFile)
-	if err != nil {
-		return base
-	}
-	if json.Unmarshal(raw, &base) != nil {
-		// Legacy layout: a flat W4 array from before W9 existed.
-		var flat []w4Result
-		if json.Unmarshal(raw, &flat) == nil {
-			base.W4 = flat
-		}
-	}
-	return base
-}
-
-func saveRPBaseline(base rpBaseline) {
-	f, err := os.Create(rpBaselineFile)
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(base); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
+	benchW4.save(results)
 }

@@ -3,28 +3,12 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 	"time"
 
 	domino "repro"
 	"repro/internal/ft"
 	"repro/internal/workload"
 )
-
-// tempDB opens a throwaway database; the caller must Close it.
-func tempDB(title string, replica domino.ReplicaID) *domino.Database {
-	dir, err := os.MkdirTemp("", "domino-exp")
-	if err != nil {
-		log.Fatal(err)
-	}
-	db, err := domino.Open(filepath.Join(dir, "exp.nsf"),
-		domino.Options{Title: title, ReplicaID: replica})
-	if err != nil {
-		log.Fatal(err)
-	}
-	return db
-}
 
 func seedDocs(db *domino.Database, g *workload.Generator, count, body int) []*domino.Note {
 	sess := db.Session("exp")
@@ -50,7 +34,7 @@ func runT1(quick bool) {
 	ops := pick(quick, 2000, 300)
 	t := newTable("body bytes", "create µs/op", "read µs/op", "update µs/op", "delete µs/op")
 	for _, size := range []int{512, 2048, 8192} {
-		db := tempDB("t1", domino.NewReplicaID())
+		db := tempDB(domino.Options{Title: "t1"})
 		g := workload.New(int64(size))
 		sess := db.Session("exp")
 		docs := g.Corpus(ops, size)
@@ -102,9 +86,9 @@ func runT2(quick bool) {
 	}
 	t := newTable("docs", "incremental µs/update", "full rebuild ms", "rebuild/incremental")
 	for _, n := range sizes {
-		db := tempDB("t2", domino.NewReplicaID())
+		db := tempDB(domino.Options{Title: "t2"})
 		g := workload.New(2)
-		docs := seedDocs(db, g, n, 512)
+		docs := seedDocs(db.Database, g, n, 512)
 		def, _ := domino.NewView("bycat", "SELECT @All",
 			domino.ViewColumn{Title: "Category", ItemName: "Category", Sorted: true},
 			domino.ViewColumn{Title: "Subject", ItemName: "Subject", Sorted: true})
@@ -143,10 +127,10 @@ func runT3(quick bool) {
 	t := newTable("scenario", "stubs kept", "deleted docs", "resurrected after sync")
 	for _, purgeEarly := range []bool{false, true} {
 		replica := domino.NewReplicaID()
-		a := tempDB("t3-a", replica)
-		b := tempDB("t3-b", replica)
+		a := tempDB(domino.Options{Title: "t3-a", ReplicaID: replica})
+		b := tempDB(domino.Options{Title: "t3-b", ReplicaID: replica})
 		g := workload.New(3)
-		seeded := seedDocs(a, g, docs, 256)
+		seeded := seedDocs(a.Database, g, docs, 256)
 		mustReplicate(b, a, "a")
 		// While b is "offline": a deletes a quarter of the documents, and
 		// the b user keeps editing those same documents on their laptop.
@@ -201,8 +185,8 @@ func runT3(quick bool) {
 	fmt.Println("   purging stubs before the offline replica syncs resurrects the deletes)")
 }
 
-func mustReplicate(local *domino.Database, peer *domino.Database, name string) domino.ReplicationStats {
-	st, err := domino.Replicate(local, &domino.LocalPeer{DB: peer},
+func mustReplicate(local, peer *scratchDB, name string) domino.ReplicationStats {
+	st, err := domino.Replicate(local.Database, &domino.LocalPeer{DB: peer.Database},
 		domino.ReplicationOptions{PeerName: name})
 	if err != nil {
 		log.Fatal(err)
@@ -219,12 +203,7 @@ func runT4(quick bool) {
 	}
 	t := newTable("ops since checkpoint", "WAL bytes", "recovery ms")
 	for _, ops := range sizes {
-		dir, _ := os.MkdirTemp("", "domino-exp")
-		path := filepath.Join(dir, "crash.nsf")
-		db, err := domino.Open(path, domino.Options{Store: storeNoCheckpoint()})
-		if err != nil {
-			log.Fatal(err)
-		}
+		db := tempDB(domino.Options{Store: storeNoCheckpoint()})
 		g := workload.New(4)
 		sess := db.Session("exp")
 		for i := 0; i < ops; i++ {
@@ -235,7 +214,7 @@ func runT4(quick bool) {
 		wal := db.Stats().WALBytes
 		// Crash: reopen without closing.
 		start := time.Now()
-		db2, err := domino.Open(path, domino.Options{})
+		db2, err := domino.Open(db.path, domino.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -254,7 +233,7 @@ func runT5(quick bool) {
 	n := pick(quick, 5000, 1000)
 	t := newTable("restricted docs", "view rows visible", "read all rows ms")
 	for _, pct := range []int{0, 50, 95} {
-		db := tempDB("t5", domino.NewReplicaID())
+		db := tempDB(domino.Options{Title: "t5"})
 		g := workload.New(5)
 		sess := db.Session("writer")
 		for i := 0; i < n; i++ {
@@ -330,9 +309,9 @@ func runF3(quick bool) {
 	}
 	t := newTable("docs", "indexed µs/query", "scan µs/query", "speedup")
 	for _, n := range sizes {
-		db := tempDB("f3", domino.NewReplicaID())
+		db := tempDB(domino.Options{Title: "f3"})
 		g := workload.New(6)
-		seedDocs(db, g, n, 512)
+		seedDocs(db.Database, g, n, 512)
 		if err := db.EnableFullText(); err != nil {
 			log.Fatal(err)
 		}

@@ -1,13 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,8 +32,8 @@ type wpResult struct {
 }
 
 // wpDB opens a database with the requested consumers attached.
-func wpDB(views int, fulltext bool) *domino.Database {
-	db := tempDB("w1", domino.NewReplicaID())
+func wpDB(views int, fulltext bool) *scratchDB {
+	db := tempDB(domino.Options{Title: "w1"})
 	for v := 0; v < views; v++ {
 		def, err := domino.NewView(fmt.Sprintf("w%d", v), "SELECT @All",
 			domino.ViewColumn{Title: "Subject", ItemName: "Subject", Sorted: true},
@@ -59,7 +54,7 @@ func wpDB(views int, fulltext bool) *domino.Database {
 }
 
 // measureWrites runs ops creates and returns per-op percentiles.
-func measureWrites(db *domino.Database, ops int, refreshed bool, seed int64) wpResult {
+func measureWrites(db *scratchDB, ops int, refreshed bool, seed int64) wpResult {
 	g := workload.New(seed)
 	docs := g.Corpus(ops, 512)
 	sess := db.Session("exp")
@@ -77,13 +72,12 @@ func measureWrites(db *domino.Database, ops int, refreshed bool, seed int64) wpR
 		lats = append(lats, d)
 		total += d
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	toUs := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 	return wpResult{
 		Refreshed: refreshed,
 		Ops:       ops,
-		P50us:     toUs(percentile(lats, 0.50)),
-		P95us:     toUs(percentile(lats, 0.95)),
+		P50us:     toUs(pct(lats, 0.50)),
+		P95us:     toUs(pct(lats, 0.95)),
 		Meanus:    toUs(total / time.Duration(ops)),
 	}
 }
@@ -127,53 +121,7 @@ func runW1(quick bool) {
 		fmt.Printf("  p50 ratio 8 views / 0 views = %.2fx (target: <= 1.5x)\n", p50v8/p50v0)
 	}
 	fmt.Println("  (shape check: async p50 flat in consumer count; +refresh pays it back)")
-	base := loadWPBaseline()
-	base.W1 = results
-	saveWPBaseline(base)
-	fmt.Println("  baseline written to " + wpBaselineFile)
-}
-
-// --- write-path baseline file (shared by W1, W7, and the drift guard) ---
-
-// wpBaseline is the committed write-path baseline: the W1 consumer matrix
-// plus the W7 group-commit scaling matrix. Each experiment rewrites only
-// its own section, so regenerating one does not discard the other.
-type wpBaseline struct {
-	W1 []wpResult `json:"w1"`
-	W7 []w7Result `json:"w7"`
-}
-
-const wpBaselineFile = "BENCH_writepath.json"
-
-func loadWPBaseline() wpBaseline {
-	var base wpBaseline
-	raw, err := os.ReadFile(wpBaselineFile)
-	if err != nil {
-		return base
-	}
-	if json.Unmarshal(raw, &base) != nil {
-		// Legacy layout: a flat W1 array from before W7 existed.
-		var flat []wpResult
-		if json.Unmarshal(raw, &flat) == nil {
-			base.W1 = flat
-		}
-	}
-	return base
-}
-
-func saveWPBaseline(base wpBaseline) {
-	f, err := os.Create(wpBaselineFile)
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(base); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
+	benchW1.save(results)
 }
 
 // --- W7: group-commit write scaling (writers x SyncWAL x group commit) ---
@@ -205,23 +153,14 @@ const w7Window = 200 * time.Microsecond
 // measureW7 runs writers goroutines of opsPer puts each against one fresh
 // database and reports aggregate throughput plus per-op latency.
 func measureW7(writers, opsPer int, syncWAL, groupCommit bool) w7Result {
-	dir, err := os.MkdirTemp("", "domino-w7")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
 	var window time.Duration
 	if groupCommit {
 		window = w7Window
 	}
-	db, err := domino.Open(filepath.Join(dir, "w7.nsf"), domino.Options{
-		Title:     "w7",
-		ReplicaID: domino.NewReplicaID(),
-		Store:     domino.StoreOptions{SyncWAL: syncWAL, GroupCommitWindow: window},
+	db := tempDB(domino.Options{
+		Title: "w7",
+		Store: domino.StoreOptions{SyncWAL: syncWAL, GroupCommitWindow: window},
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 	// Generate every writer's corpus before the clock starts.
 	corpora := make([][]*domino.Note, writers)
 	for w := range corpora {
@@ -255,7 +194,6 @@ func measureW7(writers, opsPer int, syncWAL, groupCommit bool) w7Result {
 	for _, ls := range lats {
 		all = append(all, ls...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	toUs := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 	return w7Result{
 		Writers:     writers,
@@ -263,8 +201,8 @@ func measureW7(writers, opsPer int, syncWAL, groupCommit bool) w7Result {
 		GroupCommit: groupCommit,
 		Ops:         writers * opsPer,
 		PutsPerSec:  float64(writers*opsPer) / elapsed.Seconds(),
-		P50us:       toUs(percentile(all, 0.50)),
-		P95us:       toUs(percentile(all, 0.95)),
+		P50us:       toUs(pct(all, 0.50)),
+		P95us:       toUs(pct(all, 0.95)),
 		WALFlushes:  st.GroupCommitFlushes,
 		WALRecords:  st.GroupCommitRecords,
 	}
@@ -304,131 +242,7 @@ func runW7(quick bool) {
 			gc64/fsync64)
 	}
 	fmt.Println("  (shape check: SyncWAL throughput pinned to fsync rate without group commit, scales with writers with it)")
-	base := loadWPBaseline()
-	base.W7 = results
-	saveWPBaseline(base)
-	fmt.Println("  baseline written to " + wpBaselineFile)
-}
-
-// --- GUARD: write-path bench drift guard ---
-//
-// Re-measures a pinned subset of the W1 and W7 configurations and fails
-// (non-zero exit, so `make drift` fails CI) when a fresh median regresses
-// more than 30% against the committed BENCH_writepath.json. Each probe
-// keeps the best of three trials and applies a small absolute floor: the
-// guard hunts real regressions — a serialized write path, a lost fsync
-// amortization — not scheduler noise.
-
-const (
-	driftRatio   = 1.30 // fail when worse than baseline by more than 30%
-	driftFloorUs = 15.0 // and by more than 15µs: sub-µs medians jitter
-	driftTrials  = 3
-)
-
-func runGuard(quick bool) {
-	base := loadWPBaseline()
-	if len(base.W1) == 0 || len(base.W7) == 0 {
-		log.Fatalf("GUARD: %s lacks a w1/w7 baseline; run `make bench-writepath` and commit the result", wpBaselineFile)
-	}
-	var failures []string
-	t := newTable("probe", "baseline", "fresh", "verdict")
-
-	// W1 probes: async put p50 with 0 and 8 open views (no full-text).
-	ops := pick(quick, 1500, 400)
-	for _, views := range []int{0, 8} {
-		var want float64
-		for _, r := range base.W1 {
-			if r.Views == views && !r.FullText && !r.Refreshed {
-				want = r.P50us
-			}
-		}
-		if want == 0 {
-			failures = append(failures, fmt.Sprintf("W1 views=%d missing from baseline", views))
-			continue
-		}
-		got := 0.0
-		for trial := 0; trial < driftTrials; trial++ {
-			db := wpDB(views, false)
-			r := measureWrites(db, ops, false, int64(400+views+trial))
-			db.Refresh()
-			db.Close()
-			if trial == 0 || r.P50us < got {
-				got = r.P50us
-			}
-		}
-		verdict := "ok"
-		if got > want*driftRatio && got > want+driftFloorUs {
-			verdict = "REGRESSED"
-			failures = append(failures,
-				fmt.Sprintf("W1 views=%d put p50 %.1fµs vs baseline %.1fµs", views, got, want))
-		}
-		t.add(fmt.Sprintf("W1 put p50 (views=%d)", views),
-			fmt.Sprintf("%.1fµs", want), fmt.Sprintf("%.1fµs", got), verdict)
-	}
-
-	// W7 probes: the fsync-bound single writer and the group-committed
-	// 64-writer configuration — the two ends of the amortization claim.
-	opsPer := pick(quick, 150, 60)
-	for _, probe := range []struct {
-		writers int
-		gc      bool
-	}{{1, false}, {64, true}} {
-		var want float64
-		for _, r := range base.W7 {
-			if r.Writers == probe.writers && r.SyncWAL && r.GroupCommit == probe.gc {
-				want = r.PutsPerSec
-			}
-		}
-		if want == 0 {
-			failures = append(failures,
-				fmt.Sprintf("W7 writers=%d gc=%v missing from baseline", probe.writers, probe.gc))
-			continue
-		}
-		got := 0.0
-		for trial := 0; trial < driftTrials; trial++ {
-			r := measureW7(probe.writers, opsPer, true, probe.gc)
-			if r.PutsPerSec > got {
-				got = r.PutsPerSec
-			}
-		}
-		verdict := "ok"
-		if got*driftRatio < want {
-			verdict = "REGRESSED"
-			failures = append(failures,
-				fmt.Sprintf("W7 writers=%d gc=%v throughput %.0f/s vs baseline %.0f/s",
-					probe.writers, probe.gc, got, want))
-		}
-		t.add(fmt.Sprintf("W7 puts/s (writers=%d, gc=%v)", probe.writers, probe.gc),
-			fmt.Sprintf("%.0f/s", want), fmt.Sprintf("%.0f/s", got), verdict)
-	}
-
-	// W6 probe: dead-mate re-home median (wall-clock dominated, so its own
-	// generous tolerances; also re-checks the zero-lost-acked-writes audit).
-	if msg := guardW6(t); msg != "" {
-		failures = append(failures, msg)
-	}
-
-	// W8 probe: mesh ring convergence under churn (also re-checks the
-	// converged-fingerprints and zero-spurious-conflicts invariants).
-	if msg := guardW8(t); msg != "" {
-		failures = append(failures, msg)
-	}
-	if msg := guardW9(t); msg != "" {
-		failures = append(failures, msg)
-	}
-
-	// W10 probe: hedged-read tail under a stalled mate (wall-clock
-	// dominated; also re-checks the wasted-work and write-safety audits
-	// committed in the deadline baseline).
-	if msg := guardW10(t); msg != "" {
-		failures = append(failures, msg)
-	}
-
-	t.print()
-	if len(failures) > 0 {
-		log.Fatalf("GUARD: bench drift:\n  %s", strings.Join(failures, "\n  "))
-	}
-	fmt.Println("  no drift beyond tolerance against the committed baselines")
+	benchW7.save(results)
 }
 
 // --- W2: incremental view refresh vs rebuild under concurrent writers ---
@@ -440,10 +254,10 @@ func runGuard(quick bool) {
 
 func runW2(quick bool) {
 	n := pick(quick, 10000, 1000)
-	db := tempDB("w2", domino.NewReplicaID())
+	db := tempDB(domino.Options{Title: "w2"})
 	defer db.Close()
 	g := workload.New(7)
-	docs := seedDocs(db, g, n, 512)
+	docs := seedDocs(db.Database, g, n, 512)
 	def, _ := domino.NewView("bycat", "SELECT @All",
 		domino.ViewColumn{Title: "Category", ItemName: "Category", Sorted: true},
 		domino.ViewColumn{Title: "Subject", ItemName: "Subject", Sorted: true})
@@ -481,7 +295,6 @@ func runW2(quick bool) {
 		}
 		refreshLats = append(refreshLats, time.Since(start))
 	}
-	sort.Slice(refreshLats, func(i, j int) bool { return refreshLats[i] < refreshLats[j] })
 
 	rebuilds := 3
 	start := time.Now()
@@ -497,8 +310,8 @@ func runW2(quick bool) {
 	db.Refresh()
 
 	t := newTable("docs", "writers", "refresh p50 µs", "refresh p95 µs", "rebuild ms", "rebuild/refresh")
-	p50 := percentile(refreshLats, 0.50)
-	p95 := percentile(refreshLats, 0.95)
+	p50 := pct(refreshLats, 0.50)
+	p95 := pct(refreshLats, 0.95)
 	ratio := float64(rebuild) / float64(p50)
 	t.add(n, 4, us(p50), us(p95), ms(rebuild), fmt.Sprintf("%.0fx", ratio))
 	t.print()
