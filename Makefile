@@ -25,12 +25,14 @@ race:
 # group-commit races (64 committers vs checkpoint/compact/hot-backup and
 # crash-durability of acked batches), the server shutdown races (Close
 # vs in-flight dispatch vs hot-link ships, failover clients losing a mate
-# mid-session), and the mesh ship path (direct ships, ships to databases
-# opened late, drops that kick catch-up rounds).
+# mid-session), the mesh ship path (direct ships, ships to databases
+# opened late, drops that kick catch-up rounds), and the multiplexed wire
+# session (out-of-order responses, in-band cancel, concurrent batch puts on
+# one client, hedge losers withdrawn without a redial).
 stress:
 	$(GO) test -race -count=2 \
-		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestHotLinkFiresOnWrite|TestHotLinkShipsDatabaseOpenedAfterAdd|TestSelectiveHotLinkShipsStubs|TestShipFailureKicksCatchUpRound|TestClusterPushReplication|TestClusterDatabaseOpenedAfterEnable|TestClusterDropSignalsCatchUp' \
-		./internal/core ./internal/repl ./internal/store ./internal/server ./internal/place ./internal/dir ./internal/mesh
+		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestHotLinkFiresOnWrite|TestHotLinkShipsDatabaseOpenedAfterAdd|TestSelectiveHotLinkShipsStubs|TestShipFailureKicksCatchUpRound|TestClusterPushReplication|TestClusterDatabaseOpenedAfterEnable|TestClusterDropSignalsCatchUp|TestMuxOutOfOrderResponses|TestCancelReachesRunningHandler|TestConcurrentPutBatchOneClient|TestCancelWithdrawsRequestInBand|TestHedgedReadWinsOverSlowMate' \
+		./internal/core ./internal/repl ./internal/store ./internal/server ./internal/place ./internal/dir ./internal/mesh ./internal/wire
 
 # Short native-fuzz smoke over the three parsers that guard trust boundaries:
 # the note codec (every WAL record and wire note passes through it), the

@@ -143,15 +143,15 @@ func w9ViewOpen(docs, pageRows int, oneWay time.Duration) w9Result {
 }
 
 // frameMeter wraps a client connection and runs the frame protocol's
-// length-prefix parser over the raw read stream — the real bytes on the
-// wire, not what the decoder reports — recording every response frame's
+// header parser over the raw read stream — the real bytes on the wire, not
+// what the decoder reports — recording every response frame's payload
 // size.
 type frameMeter struct {
 	net.Conn
 	stats *frameStats
 
-	need int     // payload bytes left in the current frame
-	hdr  [4]byte // partially accumulated length prefix
+	need int      // payload bytes left in the current frame
+	hdr  [12]byte // partially accumulated [u32 len][u32 id][u32 budget] header
 	hlen int
 }
 
@@ -170,9 +170,9 @@ func (m *frameMeter) Read(b []byte) (int, error) {
 	return n, err
 }
 
-// feed advances the parser over one chunk of the read stream. Reads are
-// serialized by the client (one response at a time), so no lock is needed
-// on the parser state itself.
+// feed advances the parser over one chunk of the read stream. One reader
+// goroutine per connection does all its reads, so no lock is needed on the
+// parser state itself.
 func (m *frameMeter) feed(b []byte) {
 	for len(b) > 0 {
 		if m.need > 0 {
@@ -187,8 +187,8 @@ func (m *frameMeter) feed(b []byte) {
 		k := copy(m.hdr[m.hlen:], b)
 		m.hlen += k
 		b = b[k:]
-		if m.hlen == 4 {
-			n := int(binary.LittleEndian.Uint32(m.hdr[:]))
+		if m.hlen == len(m.hdr) {
+			n := int(binary.LittleEndian.Uint32(m.hdr[:4]))
 			m.hlen = 0
 			m.need = n
 			m.stats.mu.Lock()

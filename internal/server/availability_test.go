@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -24,7 +25,7 @@ import (
 // newHookServer starts a one-database server whose testPreDispatch hook is
 // installed before the listener, so tests can inject delays and panics into
 // the dispatch path without racing the handler goroutines.
-func newHookServer(t *testing.T, opts Options, hook func(op wire.Op, budget time.Duration)) (*Server, string) {
+func newHookServer(t *testing.T, opts Options, hook func(ctx context.Context, op wire.Op, budget time.Duration)) (*Server, string) {
 	t.Helper()
 	d := dir.New()
 	d.AddUser(dir.User{Name: "ada", Secret: "ada-pw"})
@@ -99,7 +100,7 @@ func TestAvailabilityProbe(t *testing.T) {
 // sessions are shed with RESTRICTED busy responses — but the in-flight
 // request admitted before the drain finishes, and Quiesce waits for it.
 func TestQuiesceDrain(t *testing.T) {
-	hook := func(op wire.Op, _ time.Duration) {
+	hook := func(_ context.Context, op wire.Op, _ time.Duration) {
 		if op == wire.OpGetNote {
 			time.Sleep(300 * time.Millisecond)
 		}
@@ -182,7 +183,7 @@ func TestQuiesceDrain(t *testing.T) {
 // depressed availability index, accepted requests stay fast, and once the
 // load drains the goroutine count returns to baseline.
 func TestAdmissionShedsUnderOverload(t *testing.T) {
-	hook := func(op wire.Op, _ time.Duration) {
+	hook := func(_ context.Context, op wire.Op, _ time.Duration) {
 		if op == wire.OpSearch {
 			time.Sleep(100 * time.Millisecond)
 		}
@@ -279,7 +280,7 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 func TestPanicRecoveryClosesOnlyThatConn(t *testing.T) {
 	var armed atomic.Bool
 	armed.Store(true)
-	hook := func(op wire.Op, _ time.Duration) {
+	hook := func(_ context.Context, op wire.Op, _ time.Duration) {
 		if op == wire.OpDeleteNote && armed.CompareAndSwap(true, false) {
 			panic("injected handler panic")
 		}
@@ -381,7 +382,7 @@ func TestClusterDropSignalsCatchUp(t *testing.T) {
 // promptly with no deadlock or leaked goroutine (run under -race in the
 // stress target).
 func TestCloseRacesInflightAndClusterPush(t *testing.T) {
-	hook := func(op wire.Op, _ time.Duration) { time.Sleep(2 * time.Millisecond) }
+	hook := func(_ context.Context, op wire.Op, _ time.Duration) { time.Sleep(2 * time.Millisecond) }
 	s, addr := newHookServer(t, Options{MaxInFlight: 8}, hook)
 	s.EnableClustering(map[string]string{"ghost": "127.0.0.1:1"}) // every push fails
 
@@ -493,7 +494,7 @@ func TestFailoverKillMidNotesSession(t *testing.T) {
 	var creates atomic.Int32
 	var once sync.Once
 	hubClosed := make(chan struct{})
-	p.hub.testPreDispatch = func(op wire.Op, _ time.Duration) {
+	p.hub.testPreDispatch = func(_ context.Context, op wire.Op, _ time.Duration) {
 		if op == wire.OpCreateNote && creates.Add(1) == killAt {
 			once.Do(func() {
 				go func() {
@@ -583,7 +584,7 @@ func TestFailoverKillMidReplicationSession(t *testing.T) {
 	var fetches atomic.Int32
 	var once sync.Once
 	hubClosed := make(chan struct{})
-	p.hub.testPreDispatch = func(op wire.Op, _ time.Duration) {
+	p.hub.testPreDispatch = func(_ context.Context, op wire.Op, _ time.Duration) {
 		if op == wire.OpFetch && fetches.Add(1) == 2 {
 			once.Do(func() {
 				go func() {

@@ -85,11 +85,7 @@ const (
 // The explicit kind byte distinguishes category headers from documents
 // structurally — a document rendering zero columns can no longer be
 // mistaken for a category.
-func (c *connState) viewRows(ctx context.Context, d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) viewRows(ctx context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	name := d.Str()
 	start := int(d.U32())
 	limit := int(d.U32())
@@ -169,11 +165,7 @@ func decodeScanCursor(cursor []byte, server string) (nsf.NoteID, error) {
 // formula, limit, column names, cursor), response (kind-prefixed rows with
 // typed projected values, more, cursor). The formula is compiled per page —
 // compilation is cheap next to evaluating it over the page's documents.
-func (c *connState) scan(ctx context.Context, d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) scan(ctx context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	formulaSrc := d.Str()
 	limit := int(d.U32())
 	ncols := d.U32()
@@ -186,6 +178,7 @@ func (c *connState) scan(ctx context.Context, d *wire.Dec) (*wire.Enc, error) {
 		return nil, err
 	}
 	var sel *formula.Formula
+	var err error
 	if formulaSrc != "" {
 		if sel, err = formula.Compile(formulaSrc); err != nil {
 			return nil, err
@@ -236,11 +229,7 @@ func (c *connState) scan(ctx context.Context, d *wire.Dec) (*wire.Enc, error) {
 // with IEEE-754 score bits and optional joined summary values, more, next).
 // Scores travel as Float64bits — the earlier fixed-point encoding wrapped
 // negative scores into huge positives.
-func (c *connState) search(ctx context.Context, d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) search(ctx context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	query := d.Str()
 	start := int(d.U32())
 	limit := int(d.U32())

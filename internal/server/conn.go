@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/acl"
@@ -15,12 +16,21 @@ import (
 	"repro/internal/wire"
 )
 
-// connState tracks one client connection's authenticated session.
+// connState is one client connection: its authenticated session and the
+// requests it has in flight.
 type connState struct {
-	s       *Server
-	user    string
-	handles map[uint32]*handleState
-	nextH   uint32
+	s    *Server
+	conn net.Conn
+	user string // set by hello, which runs before any other request is read
+
+	wmu sync.Mutex // serializes response frames
+
+	mu       sync.Mutex // guards the fields below
+	handles  map[uint32]*handleState
+	nextH    uint32
+	inflight map[uint32]context.CancelFunc // by request ID
+	wg       sync.WaitGroup                // in-flight requests
+	done     chan struct{}                 // closed once the connection ended
 }
 
 type handleState struct {
@@ -32,35 +42,47 @@ type handleState struct {
 	placeVer uint64
 }
 
-// handleConn runs the request loop for one connection. Reads and writes
-// run under deadlines so a stalled or malicious peer (half-sent frame,
-// unread responses) can never pin the handler goroutine forever. Every
-// request passes admission control before dispatch, and a handler panic
+// handleConn runs one multiplexed connection, returning once it has ended
+// and its last request has finished. Hello, availability and resolve are
+// answered inline, OpCancel cancels the named request's context, and every
+// other request passes admission control and then runs concurrently with
+// the connection's later frames, so one connection carries many requests
+// at once and answers them in completion order. Reads and writes run under
+// deadlines so a stalled or malicious peer (half-sent frame, unread
+// responses) can never pin the connection forever, and a handler panic
 // closes only this connection — never the process.
 func (s *Server) handleConn(conn net.Conn) {
-	st := &connState{s: s, handles: make(map[uint32]*handleState), nextH: 1}
+	c := &connState{s: s, conn: conn, handles: make(map[uint32]*handleState), nextH: 1,
+		inflight: make(map[uint32]context.CancelFunc), done: make(chan struct{})}
+	c.serve()
+	<-c.done
+}
+
+// serve is the connection's reader until an admitted request takes the
+// goroutine over (see run). The reader whose read fails ends the
+// connection: in-flight requests are cancelled and waited for.
+func (c *connState) serve() {
+	s := c.s
 	for {
-		if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
-		payload, err := wire.ReadFrame(conn)
-		if err != nil {
-			return // closed, broken, or idle past the deadline
-		}
-		// Strip the optional deadline-budget envelope: the rest of the
-		// loop (and every handler) sees the inner request, and responses
-		// echo the inner op. A malformed envelope is a framing violation.
-		budgetMs, payload, err := wire.SplitBudget(payload)
-		if err != nil {
+		c.mu.Lock()
+		c.armIdle()
+		c.mu.Unlock()
+		h, payload, err := wire.ReadFrame(c.conn)
+		if err != nil || len(payload) == 0 {
+			c.end() // closed, broken, malformed, or idle past the deadline
 			return
 		}
-		budget := time.Duration(budgetMs) * time.Millisecond
-		if len(payload) == 0 {
-			return
-		}
+		budget := time.Duration(h.Budget) * time.Millisecond
 		op := wire.Op(payload[0])
 		var resp *wire.Enc
 		switch {
+		case op == wire.OpCancel:
+			c.mu.Lock()
+			if cancel := c.inflight[h.ID]; cancel != nil {
+				cancel()
+			}
+			c.mu.Unlock()
+			continue
 		case op == wire.OpAvailability:
 			// Probes answer unauthenticated and even while draining, so a
 			// failover client can always read the mate's state.
@@ -81,8 +103,11 @@ func (s *Server) handleConn(conn net.Conn) {
 		case op == wire.OpHello:
 			// Authentication stays cheap and is never shed: a loaded
 			// server still answers hello so the client can read busy
-			// responses (with the index) and redirect.
-			resp = st.safeDispatch(op, budget, wire.NewDec(payload[1:]))
+			// responses (with the index) and redirect. It runs inline, so
+			// the session is authenticated before the next frame is read.
+			resp = c.safeDispatch(context.Background(), op, budget, wire.NewDec(payload[1:]))
+		case c.user == "":
+			resp = fail(op, errors.New("not authenticated"))
 		default:
 			switch s.admission.admit(budget) {
 			case admitShed:
@@ -93,31 +118,102 @@ func (s *Server) handleConn(conn net.Conn) {
 				// elsewhere is safe.
 				resp = deadlineResp(op, wire.DeadlineRefused)
 			default:
-				s.admission.dispatched.Add(1)
-				start := time.Now()
-				resp = st.safeDispatch(op, budget, wire.NewDec(payload[1:]))
-				s.admission.release(time.Since(start))
+				c.run(h.ID, op, budget, payload[1:])
+				return
 			}
 		}
-		if resp == nil {
-			return // handler panicked; drop only this connection
-		}
-		if s.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		}
-		err = wire.WriteFrame(conn, resp.Bytes())
-		resp.Release()
-		if err != nil {
+		if resp == nil || !c.reply(h.ID, resp) {
+			c.end() // handler panicked or the peer stopped reading
 			return
 		}
 	}
+}
+
+// end tears the connection down: in-flight writes fail fast instead of
+// blocking, running requests are cancelled, and once they finish
+// handleConn returns.
+func (c *connState) end() {
+	c.conn.Close()
+	c.mu.Lock()
+	for _, cancel := range c.inflight {
+		cancel()
+	}
+	c.mu.Unlock()
+	c.wg.Wait()
+	close(c.done)
+}
+
+// armIdle sets the read deadline for the next frame (c.mu held): the idle
+// timeout applies only while nothing is in flight, so a long request never
+// makes its own connection look idle.
+func (c *connState) armIdle() {
+	if idle := c.s.opts.IdleTimeout; idle > 0 {
+		if len(c.inflight) == 0 {
+			c.conn.SetReadDeadline(time.Now().Add(idle))
+		} else {
+			c.conn.SetReadDeadline(time.Time{})
+		}
+	}
+}
+
+// run executes one admitted request on the reading goroutine, after
+// handing the reading to a fresh serve goroutine: the request starts work
+// at once instead of waiting to be scheduled (handing it to a new
+// goroutine instead cost the ingest benchmark's replica lag about a
+// third). The request is registered before the next frame is read, so an
+// OpCancel for it always finds it; its carried budget becomes its context
+// deadline.
+func (c *connState) run(id uint32, op wire.Op, budget time.Duration, body []byte) {
+	var ctx context.Context
+	var cancel context.CancelFunc
+	if budget > 0 {
+		ctx, cancel = context.WithTimeout(context.Background(), budget)
+	} else {
+		ctx, cancel = context.WithCancel(context.Background())
+	}
+	c.mu.Lock()
+	c.inflight[id] = cancel
+	c.mu.Unlock()
+	c.s.admission.dispatched.Add(1)
+	c.wg.Add(1)
+	defer c.wg.Done()
+	go c.serve()
+	start := time.Now()
+	resp := c.safeDispatch(ctx, op, budget, wire.NewDec(body))
+	c.s.admission.release(time.Since(start))
+	switch {
+	case resp == nil:
+		c.conn.Close() // handler panicked; drop only this connection
+	case ctx.Err() == context.Canceled:
+		resp.Release() // the client stopped waiting: nobody reads it
+	case !c.reply(id, resp):
+		c.conn.Close()
+	}
+	cancel()
+	c.mu.Lock()
+	delete(c.inflight, id)
+	c.armIdle()
+	c.mu.Unlock()
+}
+
+// reply writes one response frame echoing the request ID, under the
+// connection's write lock, and releases the encoder.
+func (c *connState) reply(id uint32, resp *wire.Enc) bool {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.s.opts.WriteTimeout > 0 {
+		c.conn.SetWriteDeadline(time.Now().Add(c.s.opts.WriteTimeout))
+	}
+	err := resp.WriteFrame(c.conn, wire.Header{ID: id})
+	resp.Release()
+	return err == nil
 }
 
 // safeDispatch runs dispatch with panic recovery: a panicking handler is
 // logged and counted, and the connection is closed by returning nil — the
 // rest of the server keeps serving. The response for a half-executed
 // request is unknowable, so nothing is written.
-func (c *connState) safeDispatch(op wire.Op, budget time.Duration, d *wire.Dec) (resp *wire.Enc) {
+func (c *connState) safeDispatch(ctx context.Context, op wire.Op, budget time.Duration, d *wire.Dec) (resp *wire.Enc) {
 	defer func() {
 		if r := recover(); r != nil {
 			c.s.admission.panics.Add(1)
@@ -125,19 +221,12 @@ func (c *connState) safeDispatch(op wire.Op, budget time.Duration, d *wire.Dec) 
 			resp = nil
 		}
 	}()
-	// The carried budget becomes this op's context deadline: long-running
-	// handlers check it cooperatively and stop working the moment the
-	// caller's patience is provably spent. The clock starts here — before
-	// the test hook — so injected dispatch delays consume budget exactly
-	// like real ones.
-	ctx := context.Background()
-	if budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, budget)
-		defer cancel()
-	}
+	// Long-running handlers check ctx cooperatively and stop working the
+	// moment the caller's patience is provably spent or the request is
+	// withdrawn. The deadline clock starts before the test hook, so
+	// injected dispatch delays consume budget exactly like real ones.
 	if hook := c.s.testPreDispatch; hook != nil {
-		hook(op, budget)
+		hook(ctx, op, budget)
 	}
 	return c.dispatch(ctx, op, d)
 }
@@ -155,59 +244,58 @@ func deadlineResp(op wire.Op, stage byte) *wire.Enc {
 	return wire.NewResp(op, wire.StatusDeadlineExceeded).U8(stage)
 }
 
+// dbOps are the operations addressed to an open database: their request
+// body starts with the handle, which dispatch resolves (with its placement
+// check) before calling them.
+var dbOps = map[wire.Op]func(c *connState, ctx context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error){
+	wire.OpGetNote:    (*connState).getNote,
+	wire.OpCreateNote: (*connState).createNote,
+	wire.OpUpdateNote: (*connState).updateNote,
+	wire.OpDeleteNote: (*connState).deleteNote,
+	wire.OpViewRows:   (*connState).viewRows,
+	wire.OpSearch:     (*connState).search,
+	wire.OpScan:       (*connState).scan,
+	wire.OpReplicaID:  (*connState).replicaID,
+	wire.OpSummaries:  (*connState).summaries,
+	wire.OpFetch:      (*connState).fetch,
+	wire.OpApply:      (*connState).apply,
+	wire.OpDBInfo:     (*connState).dbInfo,
+	wire.OpPutBatch:   (*connState).putBatch,
+}
+
 func (c *connState) dispatch(ctx context.Context, op wire.Op, d *wire.Dec) *wire.Enc {
-	if c.user == "" && op != wire.OpHello {
-		return fail(op, errors.New("not authenticated"))
-	}
-	if ctx.Err() != nil {
-		// Spent before the handler ran (e.g. while queued behind the
-		// admission semaphore): still provably never executed.
-		c.s.admission.deadlineSheds.Add(1)
+	if err := ctx.Err(); err != nil {
+		// Spent (or withdrawn) before the handler ran: still provably
+		// never executed.
+		if err == context.DeadlineExceeded {
+			c.s.admission.deadlineSheds.Add(1)
+		}
 		return deadlineResp(op, wire.DeadlineRefused)
 	}
 	var resp *wire.Enc
 	var err error
-	switch op {
-	case wire.OpHello:
-		resp, err = c.hello(d)
-	case wire.OpOpenDB:
-		resp, err = c.openDB(d)
-	case wire.OpGetNote:
-		resp, err = c.getNote(d)
-	case wire.OpCreateNote:
-		resp, err = c.createNote(d)
-	case wire.OpUpdateNote:
-		resp, err = c.updateNote(d)
-	case wire.OpDeleteNote:
-		resp, err = c.deleteNote(d)
-	case wire.OpViewRows:
-		resp, err = c.viewRows(ctx, d)
-	case wire.OpSearch:
-		resp, err = c.search(ctx, d)
-	case wire.OpScan:
-		resp, err = c.scan(ctx, d)
-	case wire.OpReplicaID:
-		resp, err = c.replicaID(d)
-	case wire.OpSummaries:
-		resp, err = c.summaries(ctx, d)
-	case wire.OpFetch:
-		resp, err = c.fetch(ctx, d)
-	case wire.OpApply:
-		resp, err = c.apply(ctx, d)
-	case wire.OpMailDeposit:
-		resp, err = c.mailDeposit(d)
-	case wire.OpDBInfo:
-		resp, err = c.dbInfo(d)
-	case wire.OpPutBatch:
-		resp, err = c.putBatch(ctx, d)
-	case wire.OpMeshStatus:
-		resp, err = c.meshStatus(d)
-	case wire.OpMeshAdd:
-		resp, err = c.meshAdd(d)
-	case wire.OpMeshRemove:
-		resp, err = c.meshRemove(d)
-	default:
-		err = fmt.Errorf("unknown operation %#x", byte(op))
+	if fn, ok := dbOps[op]; ok {
+		var hs *handleState
+		if hs, err = c.handle(d); err == nil {
+			resp, err = fn(c, ctx, hs, d)
+		}
+	} else {
+		switch op {
+		case wire.OpHello:
+			resp, err = c.hello(d)
+		case wire.OpOpenDB:
+			resp, err = c.openDB(d)
+		case wire.OpMailDeposit:
+			resp, err = c.mailDeposit(d)
+		case wire.OpMeshStatus:
+			resp, err = c.meshStatus(d)
+		case wire.OpMeshAdd:
+			resp, err = c.meshAdd(d)
+		case wire.OpMeshRemove:
+			resp, err = c.meshRemove(d)
+		default:
+			err = fmt.Errorf("unknown operation %#x", byte(op))
+		}
 	}
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -234,11 +322,14 @@ func (c *connState) hello(d *wire.Dec) (*wire.Enc, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	// Version 2 changed the view/search row encodings (paginated bulk
-	// reads) and version 3 the mesh admin encodings, so older peers are
-	// refused rather than misparsed.
-	if version != 3 {
+	// Every version changed encodings in place (see wire.ProtocolVersion),
+	// so other versions are refused rather than misparsed.
+	if version != wire.ProtocolVersion {
 		return nil, fmt.Errorf("unsupported protocol version %d", version)
+	}
+	if c.user != "" {
+		// Handlers running concurrently read the session's identity.
+		return nil, errors.New("already authenticated")
 	}
 	if !c.s.opts.Directory.Authenticate(user, secret) {
 		c.s.logf(LogSession, "failed authentication for %q", user)
@@ -274,9 +365,11 @@ func (c *connState) openDB(d *wire.Dec) (*wire.Enc, error) {
 	if sess.Identity().Level == acl.NoAccess {
 		return nil, fmt.Errorf("%s has no access to %q", c.user, path)
 	}
+	c.mu.Lock()
 	h := c.nextH
 	c.nextH++
 	c.handles[h] = &handleState{db: db, sess: sess, path: key, placeVer: placeVer}
+	c.mu.Unlock()
 	replica := db.ReplicaID()
 	return wire.NewResp(wire.OpOpenDB, wire.StatusOK).
 		U32(h).Raw(replica[:]).Str(db.Title()), nil
@@ -284,6 +377,8 @@ func (c *connState) openDB(d *wire.Dec) (*wire.Enc, error) {
 
 func (c *connState) handle(d *wire.Dec) (*handleState, error) {
 	h := d.U32()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	hs, ok := c.handles[h]
 	if !ok {
 		return nil, fmt.Errorf("bad database handle %d", h)
@@ -299,11 +394,7 @@ func (c *connState) handle(d *wire.Dec) (*handleState, error) {
 	return hs, nil
 }
 
-func (c *connState) getNote(d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) getNote(_ context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	unid := d.UNID()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -315,11 +406,7 @@ func (c *connState) getNote(d *wire.Dec) (*wire.Enc, error) {
 	return wire.NewResp(wire.OpGetNote, wire.StatusOK).Note(n), nil
 }
 
-func (c *connState) createNote(d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) createNote(_ context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	n := d.Note()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -331,11 +418,7 @@ func (c *connState) createNote(d *wire.Dec) (*wire.Enc, error) {
 	return wire.NewResp(wire.OpCreateNote, wire.StatusOK).Note(n), nil
 }
 
-func (c *connState) updateNote(d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) updateNote(_ context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	n := d.Note()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -346,11 +429,7 @@ func (c *connState) updateNote(d *wire.Dec) (*wire.Enc, error) {
 	return wire.NewResp(wire.OpUpdateNote, wire.StatusOK).Note(n), nil
 }
 
-func (c *connState) deleteNote(d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) deleteNote(_ context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	unid := d.UNID()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -363,11 +442,7 @@ func (c *connState) deleteNote(d *wire.Dec) (*wire.Enc, error) {
 
 // replicaID reports the database's replica ID, letting clients re-verify
 // replica-set membership on a live connection (e.g. after a reconnect).
-func (c *connState) replicaID(d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) replicaID(_ context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -394,11 +469,7 @@ func (c *connState) replAccess(hs *handleState, needWrite bool) error {
 // within milliseconds, large enough to amortize the check away.
 const replChunk = 256
 
-func (c *connState) summaries(ctx context.Context, d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) summaries(ctx context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	since := nsf.Timestamp(d.U64())
 	formulaSrc := d.Str()
 	if err := d.Err(); err != nil {
@@ -428,11 +499,7 @@ func (c *connState) summaries(ctx context.Context, d *wire.Dec) (*wire.Enc, erro
 	return resp, nil
 }
 
-func (c *connState) fetch(ctx context.Context, d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) fetch(ctx context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	count := d.U32()
 	// Clamp the count-sized preallocation to what the request could hold
 	// (16 bytes per UNID); a corrupt count must not demand gigabytes.
@@ -472,11 +539,7 @@ func (c *connState) fetch(ctx context.Context, d *wire.Dec) (*wire.Enc, error) {
 	return resp, nil
 }
 
-func (c *connState) apply(ctx context.Context, d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) apply(ctx context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	count := d.U32()
 	notes := make([]*nsf.Note, 0, d.Cap(count, 2))
 	for i := uint32(0); i < count && d.Err() == nil; i++ {
@@ -512,11 +575,7 @@ func (c *connState) apply(ctx context.Context, d *wire.Dec) (*wire.Enc, error) {
 	return wire.NewResp(wire.OpApply, wire.StatusOK).ApplyStats(stats), nil
 }
 
-func (c *connState) dbInfo(d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) dbInfo(_ context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -538,11 +597,7 @@ func (c *connState) dbInfo(d *wire.Dec) (*wire.Enc, error) {
 // re-sent after a reconnect applies exactly once. A partial failure is
 // reported as StatusOK with ok=0 so the client still learns the cursor
 // (how far the batch got) alongside the error.
-func (c *connState) putBatch(ctx context.Context, d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) putBatch(ctx context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	sessKey := d.Str()
 	base := d.U64()
 	count := int(d.U32())

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -18,7 +19,7 @@ import (
 func TestBudgetExpiryReleasesSlotAndStaysResponsive(t *testing.T) {
 	// The hook burns any budgeted scan's entire budget before dispatch, so
 	// the server's own deadline check fires deterministically.
-	s, addr := newHookServer(t, Options{}, func(op wire.Op, budget time.Duration) {
+	s, addr := newHookServer(t, Options{}, func(_ context.Context, op wire.Op, budget time.Duration) {
 		if op == wire.OpScan && budget > 0 {
 			time.Sleep(budget + 20*time.Millisecond)
 		}
@@ -98,7 +99,7 @@ func TestDeadlineAwareAdmissionShedsDoomedRequests(t *testing.T) {
 	// One execution slot, held by a slow unbudgeted op; the budgeted op
 	// behind it cannot survive the queue estimate.
 	s, addr := newHookServer(t, Options{MaxInFlight: 1, AdmitWait: 300 * time.Millisecond},
-		func(op wire.Op, budget time.Duration) {
+		func(_ context.Context, op wire.Op, budget time.Duration) {
 			if op == wire.OpDBInfo && budget == 0 {
 				<-block
 			}

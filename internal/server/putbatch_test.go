@@ -137,6 +137,7 @@ type rawBatchConn struct {
 	t      *testing.T
 	conn   net.Conn
 	handle uint32
+	nextID uint32
 }
 
 func dialRawBatch(t *testing.T, addr, user, secret, dbPath string) *rawBatchConn {
@@ -147,7 +148,7 @@ func dialRawBatch(t *testing.T, addr, user, secret, dbPath string) *rawBatchConn
 	}
 	t.Cleanup(func() { conn.Close() })
 	r := &rawBatchConn{t: t, conn: conn}
-	d := r.roundTrip(wire.NewEnc(wire.OpHello).U32(3).Str(user).Str(secret), wire.OpHello)
+	d := r.roundTrip(wire.NewEnc(wire.OpHello).U32(wire.ProtocolVersion).Str(user).Str(secret), wire.OpHello)
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +162,16 @@ func dialRawBatch(t *testing.T, addr, user, secret, dbPath string) *rawBatchConn
 
 func (r *rawBatchConn) roundTrip(req *wire.Enc, op wire.Op) *wire.Dec {
 	r.t.Helper()
-	if err := wire.WriteFrame(r.conn, req.Bytes()); err != nil {
+	r.nextID++
+	if err := req.WriteFrame(r.conn, wire.Header{ID: r.nextID}); err != nil {
 		r.t.Fatal(err)
 	}
-	payload, err := wire.ReadFrame(r.conn)
+	h, payload, err := wire.ReadFrame(r.conn)
 	if err != nil {
 		r.t.Fatal(err)
+	}
+	if h.ID != r.nextID {
+		r.t.Fatalf("response ID %d, want %d", h.ID, r.nextID)
 	}
 	if len(payload) < 2 || payload[0] != byte(op)|0x80 {
 		r.t.Fatalf("bad response envelope % x", payload[:2])

@@ -4,6 +4,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -50,10 +51,11 @@ type Options struct {
 	// bound listener address, which is right for single-host tests but
 	// not behind NAT or 0.0.0.0 binds.
 	AdvertiseAddr string
-	// IdleTimeout bounds how long a connection may sit without delivering
-	// a complete request frame before the server drops it; it also bounds
-	// how long a half-sent frame can stall the handler. 0 uses the 5m
-	// default; negative disables the deadline.
+	// IdleTimeout bounds how long a connection with no request in flight
+	// may sit without delivering a complete request frame before the
+	// server drops it; it also bounds how long a half-sent frame can stall
+	// the connection. 0 uses the 5m default; negative disables the
+	// deadline.
 	IdleTimeout time.Duration
 	// WriteTimeout bounds writing one response frame. 0 uses the 30s
 	// default; negative disables the deadline.
@@ -127,8 +129,9 @@ type Server struct {
 	putSess   map[string]uint64
 	putSessQ  []string
 	// testPreDispatch, when set by tests before Serve, runs at the top of
-	// every dispatched request — the hook for injecting panics and delays.
-	testPreDispatch func(op wire.Op, budget time.Duration)
+	// every dispatched request with its context — the hook for injecting
+	// panics and delays and for holding a request in flight.
+	testPreDispatch func(ctx context.Context, op wire.Op, budget time.Duration)
 
 	router *router.Router
 

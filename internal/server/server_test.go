@@ -329,10 +329,10 @@ func TestUnauthenticatedOpsRejected(t *testing.T) {
 	}
 	defer conn.Close()
 	req := wire.NewEnc(wire.OpOpenDB).Str("mail.box")
-	if err := wire.WriteFrame(conn, req.Bytes()); err != nil {
+	if err := req.WriteFrame(conn, wire.Header{ID: 1}); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := wire.ReadFrame(conn)
+	_, payload, err := wire.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}

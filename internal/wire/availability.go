@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"net"
 	"time"
 )
@@ -48,7 +49,11 @@ func decAvailability(d *Dec) (AvailabilityInfo, error) {
 // Availability asks the server for its current availability index over the
 // established session. Reading load is idempotent and retries safely.
 func (c *Client) Availability() (AvailabilityInfo, error) {
-	d, err := c.roundTrip(OpAvailability, NewEnc(OpAvailability))
+	return c.availability(context.Background())
+}
+
+func (c *Client) availability(ctx context.Context) (AvailabilityInfo, error) {
+	d, err := c.call(ctx, OpAvailability, true, func() (*Enc, error) { return NewEnc(OpAvailability), nil })
 	if err != nil {
 		return AvailabilityInfo{}, err
 	}
@@ -61,32 +66,9 @@ func (c *Client) Availability() (AvailabilityInfo, error) {
 // failover clients pass their fault-injection dialer so probes see the same
 // network the session does.
 func ProbeAvailability(addr string, dialer func(network, addr string) (net.Conn, error), timeout time.Duration) (AvailabilityInfo, error) {
-	if timeout <= 0 {
-		timeout = DefaultProbeTimeout
-	}
-	if dialer == nil {
-		dialer = func(network, addr string) (net.Conn, error) {
-			return net.DialTimeout(network, addr, timeout)
-		}
-	}
-	conn, err := dialer("tcp", addr)
+	d, err := probe(addr, dialer, timeout, OpAvailability, NewEnc(OpAvailability))
 	if err != nil {
 		return AvailabilityInfo{}, err
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	if err := WriteFrame(conn, NewEnc(OpAvailability).Bytes()); err != nil {
-		return AvailabilityInfo{}, err
-	}
-	payload, err := ReadFrame(conn)
-	if err != nil {
-		return AvailabilityInfo{}, err
-	}
-	if len(payload) < 2 || payload[0] != byte(OpAvailability)|respBit {
-		return AvailabilityInfo{}, protoErrorf("bad availability probe response")
-	}
-	if payload[1] != StatusOK {
-		return AvailabilityInfo{}, &ServerError{Op: OpAvailability, Msg: "probe refused"}
-	}
-	return decAvailability(NewDec(payload[2:]))
+	return decAvailability(d)
 }

@@ -151,21 +151,27 @@ func decodeScanPage(d *Dec, ncols int) (ScanPage, error) {
 		if kind != rowKindDoc {
 			return p, protoErrorf("bad scan row kind %#x", kind)
 		}
-		row := ScanRow{NoteID: nsf.NoteID(d.U32()), UNID: d.UNID()}
-		if ncols > 0 {
-			row.Values = make([]nsf.Value, ncols)
-			for j := 0; j < ncols && d.Err() == nil; j++ {
-				if d.U8() != 0 {
-					row.Values[j] = d.Value()
-				}
-			}
-		}
-		p.Rows = append(p.Rows, row)
+		p.Rows = append(p.Rows, ScanRow{NoteID: nsf.NoteID(d.U32()), UNID: d.UNID(), Values: decValues(d, ncols)})
 	}
 	p.More = d.U8() != 0
 	// The cursor blob aliases the response buffer; copy so the page owns it.
 	p.Cursor = append([]byte(nil), d.Blob()...)
 	return p, d.Err()
+}
+
+// decValues reads ncols presence-flagged typed values (nil when ncols is 0);
+// an absent value is the zero Value.
+func decValues(d *Dec, ncols int) []nsf.Value {
+	if ncols == 0 {
+		return nil
+	}
+	vals := make([]nsf.Value, ncols)
+	for j := 0; j < ncols && d.Err() == nil; j++ {
+		if d.U8() != 0 {
+			vals[j] = d.Value()
+		}
+	}
+	return vals
 }
 
 // decodeSearchPage parses an OpSearch response body. Scores travel as
@@ -180,16 +186,7 @@ func decodeSearchPage(d *Dec, ncols int) (SearchPage, error) {
 		if kind != rowKindDoc {
 			return p, protoErrorf("bad search row kind %#x", kind)
 		}
-		hit := SearchHit{UNID: d.UNID(), Score: math.Float64frombits(d.U64())}
-		if ncols > 0 {
-			hit.Values = make([]nsf.Value, ncols)
-			for j := 0; j < ncols && d.Err() == nil; j++ {
-				if d.U8() != 0 {
-					hit.Values[j] = d.Value()
-				}
-			}
-		}
-		p.Hits = append(p.Hits, hit)
+		p.Hits = append(p.Hits, SearchHit{UNID: d.UNID(), Score: math.Float64frombits(d.U64()), Values: decValues(d, ncols)})
 	}
 	p.More = d.U8() != 0
 	p.Next = int(d.U32())
@@ -253,9 +250,15 @@ func (r *RemoteDB) ScanPage(opts ScanOptions, cursor []byte) (ScanPage, error) {
 // Scan pages a formula-filtered, projected scan through fn until the scan
 // is exhausted or fn returns false.
 func (r *RemoteDB) Scan(opts ScanOptions, fn func(ScanRow) bool) error {
+	return scanPages(func(cursor []byte) (ScanPage, error) { return r.ScanPage(opts, cursor) }, fn)
+}
+
+// scanPages feeds every row of a paged scan to fn, resuming each page from
+// the previous page's cursor, until the scan ends or fn returns false.
+func scanPages(page func(cursor []byte) (ScanPage, error), fn func(ScanRow) bool) error {
 	var cursor []byte
 	for {
-		p, err := r.ScanPage(opts, cursor)
+		p, err := page(cursor)
 		if err != nil {
 			return err
 		}

@@ -1,25 +1,18 @@
 package wire
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/nsf"
 	"repro/internal/repl"
 	"repro/internal/retry"
 )
-
-// protocolVersion is negotiated in the hello exchange. Version 2 replaced
-// the one-shot view/search reads with paginated bulk ops (and added OpScan);
-// version 3 dropped the mesh link debounce and added ship counters to the
-// mesh admin encodings. Each change altered encodings in place, so older
-// peers are refused outright rather than silently misparsed.
-const protocolVersion = 3
 
 // Options tune a client's fault tolerance. The zero value gets production
 // defaults; see the field comments.
@@ -42,12 +35,13 @@ type Options struct {
 	Jitter *rand.Rand
 	// OpBudget, when positive, gives every operation an end-to-end time
 	// budget: the WHOLE operation — all retries, backoff sleeps, and
-	// reconnects included — must finish within it. The remaining budget is
-	// carried to the server in an OpBudget envelope (shrinking on every
-	// attempt, since the deadline is absolute client-side), so the server
-	// stops working the moment the caller's patience is spent instead of
-	// finishing results nobody will read. Zero disables budgets; OpTimeout
-	// still bounds each individual round trip either way.
+	// reconnects included — must finish within it. The budget becomes the
+	// operation's context deadline, and every request carries what remains
+	// of it in its frame header (shrinking on every attempt, since the
+	// deadline is absolute client-side), so the server stops working the
+	// moment the caller's patience is spent instead of finishing results
+	// nobody will read. Zero disables budgets; OpTimeout still bounds each
+	// individual round trip either way.
 	OpBudget time.Duration
 	// ProbeTimeout bounds the pre-auth availability/resolve probes issued
 	// through this client's options (default 2s). Probes are how failover
@@ -87,46 +81,40 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Client is an authenticated connection to a server. Requests are
-// serialized; one Client supports concurrent callers. The client survives
-// transport faults: every operation runs under a deadline, retryable
-// failures of idempotent operations are retried with exponential backoff,
-// and a broken connection is transparently redialed, re-authenticated, and
-// its RemoteDB handles re-opened.
+// Client is an authenticated, multiplexed connection to a server. Any
+// number of goroutines may issue operations at once: every request carries
+// its own ID, responses are matched back by ID in whatever order the server
+// finishes them, and no lock is held across a round trip. The client
+// survives transport faults: every operation runs under a deadline,
+// retryable failures of idempotent operations are retried with exponential
+// backoff, and a broken connection is transparently redialed,
+// re-authenticated, and its RemoteDB handles re-opened.
 type Client struct {
-	mu     sync.Mutex
 	opts   Options
 	addr   string
 	user   string
 	secret string
 
-	conn   net.Conn
-	broken bool
+	// dialMu makes reconnects single-flight: callers that find the session
+	// dead queue here and adopt the session the first of them builds.
+	dialMu sync.Mutex
+
+	// mu guards the fields below, every registered handle's binding, and
+	// the backoff jitter source.
+	mu     sync.Mutex
+	sess   *session // nil until the first dial succeeds
 	closed bool
 	// dbs are the live remote handles to rebind after a reconnect.
-	dbs map[*RemoteDB]struct{}
+	dbs map[*dbHandle]struct{}
 
-	// opDeadline is the absolute deadline of the operation in flight (zero:
-	// none). It is stamped by whoever owns the budget — withRetry from
-	// Options.OpBudget, or a FailoverClient spreading one user budget across
-	// mates via setOpDeadline — and every retry, backoff sleep, and wire
-	// envelope shrinks against it.
-	opDeadline time.Time
-	// budgetOwned marks that withRetry stamped opDeadline itself (vs
-	// adopting one from a failover client) and must clear it on return.
-	budgetOwned bool
-
-	// abandoned and liveConn support CancelInflight: severing an in-flight
-	// round trip from OUTSIDE the client lock (the lock is held for the
-	// whole op, so a hedge that won elsewhere could never take it).
-	abandoned atomic.Bool
-	liveConn  atomic.Value // connBox
-
-	// putKey names this client's pipelined-put session; putSeq numbers its
-	// batched operations. The server remembers, per (user, key, database),
-	// the highest sequence it has durably applied, so a batch re-sent after
-	// a reconnect skips the already-applied prefix — exactly-once retry
-	// without per-operation acks.
+	// putMu orders this client's pipelined puts. The server remembers, per
+	// (user, putKey, database), the highest sequence it has durably
+	// applied, so a batch re-sent after a reconnect skips the
+	// already-applied prefix — exactly-once retry without per-operation
+	// acks. That cursor only works if batches apply in sequence order, so
+	// one batch (with its retries) finishes before the next claims its
+	// sequence numbers.
+	putMu  sync.Mutex
 	putKey string
 	putSeq uint64
 }
@@ -145,106 +133,87 @@ func DialOptions(addr, user, secret string, opts Options) (*Client, error) {
 		addr:   addr,
 		user:   user,
 		secret: secret,
-		dbs:    make(map[*RemoteDB]struct{}),
+		dbs:    make(map[*dbHandle]struct{}),
 		putKey: nsf.NewUNID().String(),
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var err error
+	ctx := context.Background()
 	for attempt := 0; ; attempt++ {
-		if err = c.reconnectLocked(); err == nil {
+		_, err := c.session(ctx)
+		if err == nil {
 			return c, nil
 		}
 		if !Retryable(err) || attempt >= c.opts.MaxRetries {
 			return nil, err
 		}
-		c.backoffLocked(attempt)
+		c.backoff(ctx, attempt)
 	}
 }
 
-// Close terminates the connection.
+// Close terminates the connection; operations in flight fail.
 func (c *Client) Close() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.closed = true
-	if c.conn == nil {
-		return nil
+	s := c.sess
+	c.sess = nil
+	c.mu.Unlock()
+	if s != nil {
+		s.close()
 	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
+	return nil
 }
 
 // User returns the authenticated user name.
 func (c *Client) User() string { return c.user }
 
-// connBox wraps the live connection for atomic.Value (which cannot hold a
-// bare nil interface).
-type connBox struct{ conn net.Conn }
-
-// setOpDeadline adopts an absolute deadline for the next operations on
-// this client. A failover client uses it to spread ONE user budget across
-// mates: the deadline is set before each hop, so each hop's wire envelope
-// carries only what remains. Zero clears it.
-func (c *Client) setOpDeadline(t time.Time) {
-	c.mu.Lock()
-	c.opDeadline = t
-	c.budgetOwned = false
-	c.mu.Unlock()
-}
-
-// CancelInflight severs whatever round trip this client currently has in
-// flight, without taking the client lock (the in-flight op holds it). The
-// op fails with ErrAbandoned — a result nobody is waiting for anymore —
-// which callers must treat as neither retryable nor the mate's fault. It
-// is how a hedged read cancels the loser.
-func (c *Client) CancelInflight() {
-	c.abandoned.Store(true)
-	if box, ok := c.liveConn.Load().(connBox); ok && box.conn != nil {
-		box.conn.Close()
-	}
-}
-
-// budgetLeftLocked returns the time remaining on the active deadline, or
-// (0, false) when no deadline is set.
-func (c *Client) budgetLeftLocked() (time.Duration, bool) {
-	if c.opDeadline.IsZero() {
-		return 0, false
-	}
-	return time.Until(c.opDeadline), true
-}
-
-// breakLocked abandons the current connection: it is closed immediately
-// (never leaked) and the next operation redials.
-func (c *Client) breakLocked() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
-	c.broken = true
-}
-
-// backoffLocked sleeps the exponential-backoff delay for a retry attempt
+// backoff sleeps the exponential-backoff delay for a retry attempt
 // (0-based), with ±50% jitter so synchronized clients don't stampede a
-// recovering server. An active deadline caps the sleep: burning the whole
+// recovering server. The context caps the sleep: burning the whole
 // remaining budget inside a backoff would guarantee the retry dies.
-func (c *Client) backoffLocked(attempt int) {
+func (c *Client) backoff(ctx context.Context, attempt int) {
+	c.mu.Lock()
 	d := retry.Backoff{Base: c.opts.BackoffBase, Max: c.opts.BackoffMax, Rand: c.opts.Jitter}.Delay(attempt)
-	if rem, ok := c.budgetLeftLocked(); ok {
-		if rem <= 0 {
-			return
-		}
-		if d > rem {
-			d = rem
-		}
+	c.mu.Unlock()
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
 	}
-	time.Sleep(d)
 }
 
-// reconnectLocked dials, authenticates, and re-opens every registered
-// remote handle. On return without error the connection is usable.
-func (c *Client) reconnectLocked() error {
-	c.breakLocked()
+// session returns the live session, redialing if the current one died.
+// Redialing is single-flight: it authenticates and re-opens every
+// registered remote handle, then publishes the new session and the
+// handles' new bindings together, and callers that queued behind it adopt
+// its result instead of dialing again.
+func (c *Client) session(ctx context.Context) (*session, error) {
+	c.mu.Lock()
+	old, closed := c.sess, c.closed
+	c.mu.Unlock()
+	if closed {
+		return nil, ErrClosed
+	}
+	if old != nil && old.alive() {
+		return old, nil
+	}
+	c.dialMu.Lock()
+	defer c.dialMu.Unlock()
+	c.mu.Lock()
+	cur, closed := c.sess, c.closed
+	dbs := make([]*dbHandle, 0, len(c.dbs))
+	for h := range c.dbs {
+		dbs = append(dbs, h)
+	}
+	c.mu.Unlock()
+	if closed {
+		return nil, ErrClosed
+	}
+	if cur != nil && cur != old && cur.alive() {
+		return cur, nil
+	}
+	if cur != nil {
+		cur.close()
+	}
 	dial := c.opts.Dialer
 	if dial == nil {
 		dial = func(network, addr string) (net.Conn, error) {
@@ -253,324 +222,236 @@ func (c *Client) reconnectLocked() error {
 	}
 	conn, err := dial("tcp", c.addr)
 	if err != nil {
-		return fmt.Errorf("wire: dial %s: %w", c.addr, err)
+		return nil, fmt.Errorf("wire: dial %s: %w", c.addr, err)
 	}
-	c.conn = conn
-	c.liveConn.Store(connBox{conn: conn})
-	c.broken = false
-	hello := NewEnc(OpHello).U32(protocolVersion).Str(c.user).Str(c.secret)
-	_, err = c.doLocked(OpHello, hello)
+	s := newSession(conn, c.opts.OpTimeout)
+	hello := NewEnc(OpHello).U32(ProtocolVersion).Str(c.user).Str(c.secret)
+	_, err = s.do(ctx, OpHello, hello)
 	hello.Release()
 	if err != nil {
-		c.breakLocked()
-		return err
-	}
-	for db := range c.dbs {
-		if err := c.openLocked(db); err != nil {
-			var se *ServerError
-			var wme *WrongMateError
-			if errors.As(err, &se) || errors.As(err, &wme) {
-				// The database vanished server-side or moved to another
-				// mate; poison only this handle, the session itself is
-				// healthy. A failover client turns the poisoned redirect
-				// into a re-route on the handle's next use.
-				db.stale = err
-				continue
-			}
-			c.breakLocked()
-			return err
-		}
-		db.stale = nil
-	}
-	return nil
-}
-
-// openLocked issues OpOpenDB for db and rebinds its handle fields.
-func (c *Client) openLocked(db *RemoteDB) error {
-	req := NewEnc(OpOpenDB).Str(db.path)
-	d, err := c.doLocked(OpOpenDB, req)
-	req.Release()
-	if err != nil {
-		return err
-	}
-	handle := d.U32()
-	var replica nsf.ReplicaID
-	copy(replica[:], d.Raw(8))
-	title := d.Str()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	db.handle, db.replica, db.title = handle, replica, title
-	return nil
-}
-
-// doLocked performs one raw round trip on the current connection under the
-// per-operation deadline and decodes the response envelope. Any transport
-// or framing failure leaves the connection closed and marked broken — a
-// half-finished round trip can never be resumed, and an unclosed socket
-// would leak.
-func (c *Client) doLocked(op Op, req *Enc) (*Dec, error) {
-	if c.conn == nil {
-		return nil, protoErrorf("no connection")
-	}
-	connDL := time.Now().Add(c.opts.OpTimeout)
-	var budgetMs uint32
-	if rem, ok := c.budgetLeftLocked(); ok {
-		if rem <= 0 {
-			// Budget spent before anything was sent: provably never
-			// executed, and the connection is still healthy.
-			return nil, &DeadlineError{Op: op}
-		}
-		// Carry the REMAINING budget (this shrinks across retries and
-		// failover hops). The transport deadline gets a small grace past
-		// the budget so the server's own StatusDeadlineExceeded response
-		// can still arrive and tell us whether the op ran.
-		budgetMs = uint32((rem + time.Millisecond - 1) / time.Millisecond)
-		if budgetMs == 0 {
-			budgetMs = 1
-		}
-		if bdl := c.opDeadline.Add(deadlineGrace); bdl.Before(connDL) {
-			connDL = bdl
-		}
-	}
-	c.conn.SetDeadline(connDL)
-	payload, err := c.exchangeLocked(req, budgetMs)
-	if err != nil {
-		c.breakLocked()
-		if _, ok := c.budgetLeftLocked(); ok && !time.Now().Before(c.opDeadline) {
-			// The transport fault coincides with budget expiry (typically
-			// our own deadline cutting a stalled read): the request may
-			// have been received and executed, so the outcome is ambiguous.
-			return nil, &DeadlineError{Op: op, Ambiguous: true}
-		}
+		s.close()
 		return nil, err
 	}
-	c.conn.SetDeadline(time.Time{})
-	if len(payload) < 2 {
-		c.breakLocked()
-		return nil, protoErrorf("short response envelope (%d bytes)", len(payload))
-	}
-	if payload[0] != byte(op)|respBit {
-		c.breakLocked()
-		return nil, protoErrorf("response op %#x does not match request %#x", payload[0], byte(op))
-	}
-	d := NewDec(payload[2:])
-	switch payload[1] {
-	case StatusOK:
-		return d, nil
-	case StatusBusy:
-		// Admission shed: the request never executed and the connection
-		// is healthy. Carry the server's state and availability index so
-		// failover logic can redirect.
-		state := d.U8()
-		idx := d.U32()
-		if d.Err() != nil {
-			state, idx = StateOpen, 0
+	binds := make([]binding, len(dbs))
+	for i, h := range dbs {
+		b, err := s.open(ctx, h.path)
+		if err != nil {
+			var se *ServerError
+			var wme *WrongMateError
+			if !errors.As(err, &se) && !errors.As(err, &wme) {
+				s.close()
+				return nil, err
+			}
+			// The database vanished server-side or moved to another mate;
+			// poison only this handle, the session itself is healthy. A
+			// failover client turns the poisoned redirect into a re-route
+			// on the handle's next use.
+			b.stale = err
 		}
-		return nil, &BusyError{Op: op, State: state, Availability: int(idx)}
-	case StatusWrongMate:
-		// Placement redirect: this mate does not home the database and the
-		// request never executed. The connection stays healthy; only a
-		// failover client (which can switch mates) makes progress on this.
-		return nil, decWrongMate(op, d)
-	case StatusDeadlineExceeded:
-		// The server spent our budget. The stage byte says whether the op
-		// provably never ran (refused pre-execution, like a shed) or was
-		// aborted mid-flight (ambiguous). The connection stays healthy.
-		stage := d.U8()
-		if d.Err() != nil {
-			stage = DeadlineAborted
-		}
-		return nil, &DeadlineError{Op: op, Remote: true, Ambiguous: stage == DeadlineAborted}
-	default:
-		msg := d.Str()
-		if d.Err() != nil {
-			msg = "unknown server error"
-		}
-		return nil, &ServerError{Op: op, Msg: msg}
+		binds[i] = b
 	}
-}
-
-// deadlineGrace is how far past an op's budget the transport deadline
-// extends: long enough for the server's StatusDeadlineExceeded verdict to
-// arrive (it says whether the op ran), short enough that a truly stalled
-// mate still fails promptly.
-const deadlineGrace = 100 * time.Millisecond
-
-func (c *Client) exchangeLocked(req *Enc, budgetMs uint32) ([]byte, error) {
-	var werr error
-	if budgetMs > 0 {
-		werr = WriteBudgetFrame(c.conn, budgetMs, req.Bytes())
-	} else {
-		werr = WriteFrame(c.conn, req.Bytes())
-	}
-	if werr != nil {
-		return nil, fmt.Errorf("wire: send: %w", werr)
-	}
-	payload, err := ReadFrame(c.conn)
-	if err != nil {
-		return nil, fmt.Errorf("wire: receive: %w", err)
-	}
-	return payload, nil
-}
-
-// withRetry runs fn (which must perform its round trips via doLocked or
-// openLocked) under the client lock with retry, backoff, and transparent
-// reconnect. Non-idempotent operations are never re-sent once a round trip
-// has started — the request may have executed even though its response was
-// lost — but a failed *reconnect* retries regardless, since nothing was
-// sent. Server-reported errors never retry.
-func (c *Client) withRetry(idempotent bool, fn func() error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Stamp the operation's absolute deadline if this client owns its own
-	// budget and no outer owner (a failover client) stamped one already.
-	if c.opDeadline.IsZero() && c.opts.OpBudget > 0 {
-		c.opDeadline = time.Now().Add(c.opts.OpBudget)
-		c.budgetOwned = true
+	if c.closed {
+		s.close()
+		return nil, ErrClosed
 	}
-	if c.budgetOwned {
-		defer func() {
-			c.opDeadline = time.Time{}
-			c.budgetOwned = false
-		}()
+	for i, h := range dbs {
+		h.binding = binds[i]
 	}
-	// A cancel aimed at a PREVIOUS op (hedge raced our completion) must not
-	// poison this one; in-flight cancels are caught after fn below.
-	c.abandoned.Store(false)
+	c.sess = s
+	return s, nil
+}
+
+// binding is a remote handle's state on one session.
+type binding struct {
+	handle  uint32
+	replica nsf.ReplicaID
+	title   string
+	// stale is set when a reconnect could not re-open the database; every
+	// operation fails with it until a later reconnect succeeds.
+	stale error
+}
+
+// open issues OpOpenDB for path on this session.
+func (s *session) open(ctx context.Context, path string) (binding, error) {
+	req := NewEnc(OpOpenDB).Str(path)
+	d, err := s.do(ctx, OpOpenDB, req)
+	req.Release()
+	if err != nil {
+		return binding{}, err
+	}
+	b := binding{handle: d.U32()}
+	copy(b.replica[:], d.Raw(8))
+	b.title = d.Str()
+	return b, d.Err()
+}
+
+// withRetry runs fn against the live session with retry, backoff, and
+// transparent reconnect. Non-idempotent operations are never re-sent once a
+// round trip has started — the request may have executed even though its
+// response was lost — but a failed *reconnect* retries regardless, since
+// nothing was sent. Server-reported errors, deadline verdicts and
+// cancellation never retry. A ctx without a deadline gets Options.OpBudget.
+func (c *Client) withRetry(ctx context.Context, idempotent bool, fn func(ctx context.Context, s *session) error) error {
+	if _, ok := ctx.Deadline(); !ok && c.opts.OpBudget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.opts.OpBudget)
+		defer cancel()
+	}
 	for attempt := 0; ; attempt++ {
-		if c.closed {
-			return ErrClosed
-		}
-		if rem, ok := c.budgetLeftLocked(); ok && rem <= 0 && attempt > 0 {
-			// Out of budget between attempts. Every prior attempt ended in
-			// a provably-not-executed state (shed, refused, or a transport
-			// fault on an idempotent op), so this expiry is unambiguous.
-			return &DeadlineError{}
-		}
-		if c.conn == nil || c.broken {
-			if err := c.reconnectLocked(); err != nil {
-				if c.abandoned.Swap(false) {
-					return ErrAbandoned
-				}
-				if !Retryable(err) || attempt >= c.opts.MaxRetries {
-					return err
-				}
-				c.backoffLocked(attempt)
-				continue
+		if err := ctx.Err(); err != nil && attempt > 0 {
+			if err == context.DeadlineExceeded {
+				// Out of budget between attempts. Every prior attempt ended
+				// in a provably-not-executed state (shed, refused, or a
+				// transport fault on an idempotent op), so this expiry is
+				// unambiguous.
+				return &DeadlineError{}
 			}
+			return err
 		}
-		err := fn()
-		if c.abandoned.Swap(false) && err != nil {
-			// CancelInflight severed this round trip: the caller (a hedged
-			// read that won elsewhere) will discard whatever we return, and
-			// the mate did nothing wrong. Surface the sentinel instead of a
-			// transport fault so failover logic neither retries nor blames.
-			return ErrAbandoned
+		s, err := c.session(ctx)
+		if err != nil {
+			if !Retryable(err) || attempt >= c.opts.MaxRetries {
+				return err
+			}
+			c.backoff(ctx, attempt)
+			continue
 		}
+		err = fn(ctx, s)
 		if err == nil {
 			return nil
 		}
 		var se *ServerError
-		if errors.As(err, &se) {
-			return err
-		}
 		var de *DeadlineError
-		if errors.As(err, &de) {
+		var be *BusyError
+		switch {
+		case errors.As(err, &se), errors.Is(err, context.Canceled):
+			return err
+		case errors.As(err, &de):
 			// Never auto-retried: the expired budget is the same budget a
 			// retry would run under, and an ambiguous expiry must reach
 			// the caller so non-idempotent ops aren't blindly re-sent.
 			return err
-		}
-		var be *BusyError
-		if errors.As(err, &be) {
+		case errors.As(err, &be):
 			// A shed request never executed, so re-sending is safe even
 			// for non-idempotent operations; back off to let the server
 			// recover (a failover client switches mates instead).
 			if attempt >= c.opts.MaxRetries {
 				return err
 			}
-			c.backoffLocked(attempt)
-			continue
-		}
-		if !idempotent || !Retryable(err) || attempt >= c.opts.MaxRetries {
+		case !idempotent || !Retryable(err) || attempt >= c.opts.MaxRetries:
 			return err
 		}
-		c.backoffLocked(attempt)
+		c.backoff(ctx, attempt)
 	}
 }
 
 // call runs one operation with retry. build constructs the request per
-// attempt (remote handles may have been rebound by a reconnect in between).
-// The final attempt's request encoder is released back to the pool; earlier
-// attempts' encoders (if build made fresh ones) are left to the GC, and a
-// fixed request reused across attempts is released exactly once.
-func (c *Client) call(op Op, idempotent bool, build func() (*Enc, error)) (*Dec, error) {
+// attempt under c.mu, together with picking the session it goes out on, so
+// a remote handle's binding always matches that session (a reconnect may
+// have rebound the handle in between). Each attempt's encoder is released
+// once sent.
+func (c *Client) call(ctx context.Context, op Op, idempotent bool, build func() (*Enc, error)) (*Dec, error) {
 	var d *Dec
-	var req *Enc
-	err := c.withRetry(idempotent, func() error {
-		r, berr := build()
-		if berr != nil {
-			return berr
+	err := c.withRetry(ctx, idempotent, func(ctx context.Context, s *session) error {
+		c.mu.Lock()
+		if s = c.sess; s == nil {
+			c.mu.Unlock()
+			return ErrClosed
 		}
-		req = r
-		var derr error
-		d, derr = c.doLocked(op, r)
-		return derr
-	})
-	if req != nil {
+		req, err := build()
+		c.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		d, err = s.do(ctx, op, req)
 		req.Release()
-	}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// roundTrip runs one idempotent operation with a fixed request body.
-func (c *Client) roundTrip(op Op, req *Enc) (*Dec, error) {
-	return c.call(op, true, func() (*Enc, error) { return req, nil })
-}
-
 // OpenDB opens a database by path on the server, returning a remote handle.
 // The handle stays valid across reconnects: it is re-opened automatically.
 func (c *Client) OpenDB(path string) (*RemoteDB, error) {
-	db := &RemoteDB{c: c, path: path}
-	if err := c.withRetry(true, func() error { return c.openLocked(db) }); err != nil {
+	return c.openDB(context.Background(), path)
+}
+
+func (c *Client) openDB(ctx context.Context, path string) (*RemoteDB, error) {
+	h := &dbHandle{c: c, path: path}
+	// Registered first, so a reconnect racing this open rebinds it too.
+	c.mu.Lock()
+	c.dbs[h] = struct{}{}
+	c.mu.Unlock()
+	err := c.withRetry(ctx, true, func(ctx context.Context, s *session) error {
+		b, err := s.open(ctx, path)
+		if err != nil {
+			return err
+		}
+		c.mu.Lock()
+		if c.sess == s {
+			h.binding = b
+		} // else a reconnect already bound h to the new session
+		c.mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		c.mu.Lock()
+		delete(c.dbs, h)
+		c.mu.Unlock()
 		return nil, err
 	}
-	c.mu.Lock()
-	c.dbs[db] = struct{}{}
-	c.mu.Unlock()
-	return db, nil
+	return &RemoteDB{dbHandle: h}, nil
 }
 
 // MailDeposit drops a mail note into the server's mail.box for routing.
 // Depositing is not idempotent (a re-sent deposit would route twice), so
 // it is never retried once sent.
 func (c *Client) MailDeposit(n *nsf.Note) error {
-	req := NewEnc(OpMailDeposit).Note(n)
-	_, err := c.call(OpMailDeposit, false, func() (*Enc, error) { return req, nil })
+	return c.mailDeposit(context.Background(), n)
+}
+
+func (c *Client) mailDeposit(ctx context.Context, n *nsf.Note) error {
+	_, err := c.call(ctx, OpMailDeposit, false, func() (*Enc, error) { return NewEnc(OpMailDeposit).Note(n), nil })
 	return err
 }
 
 // RemoteDB is a handle on a database opened over the wire. It implements
 // repl.Peer, so a local replicator can sync against it directly.
 type RemoteDB struct {
+	*dbHandle
+	// ctx, when set, is the context every operation through this value
+	// runs under (see with); otherwise each operation gets its own, with
+	// Options.OpBudget as its deadline.
+	ctx context.Context
+}
+
+// dbHandle is the state a RemoteDB shares with its context-scoped views.
+type dbHandle struct {
 	c       *Client
 	path    string
-	handle  uint32
-	replica nsf.ReplicaID
-	title   string
-	// stale is set when a reconnect could not re-open this database; every
-	// operation fails with it until a later reconnect succeeds.
-	stale error
+	binding // guarded by c.mu
 }
 
 var _ repl.Peer = (*RemoteDB)(nil)
 
+// with returns a view of r whose operations run under ctx: a failover
+// client uses it to spread one deadline across mates, and to cancel a hedge
+// loser.
+func (r *RemoteDB) with(ctx context.Context) *RemoteDB {
+	return &RemoteDB{dbHandle: r.dbHandle, ctx: ctx}
+}
+
 // Title returns the remote database title.
-func (r *RemoteDB) Title() string { return r.title }
+func (r *RemoteDB) Title() string {
+	r.c.mu.Lock()
+	defer r.c.mu.Unlock()
+	return r.title
+}
 
 // Path returns the server-side path the database was opened by.
 func (r *RemoteDB) Path() string { return r.path }
@@ -580,13 +461,17 @@ func (r *RemoteDB) Path() string { return r.path }
 // connection.
 func (r *RemoteDB) Release() {
 	r.c.mu.Lock()
-	delete(r.c.dbs, r)
+	delete(r.c.dbs, r.dbHandle)
 	r.c.mu.Unlock()
 }
 
 // call runs one operation against this database's current handle.
 func (r *RemoteDB) call(op Op, idempotent bool, build func() *Enc) (*Dec, error) {
-	return r.c.call(op, idempotent, func() (*Enc, error) {
+	ctx := r.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return r.c.call(ctx, op, idempotent, func() (*Enc, error) {
 		if r.stale != nil {
 			return nil, r.stale
 		}
@@ -609,7 +494,9 @@ func (r *RemoteDB) ReplicaID() (nsf.ReplicaID, error) {
 	if err := d.Err(); err != nil {
 		return nsf.ReplicaID{}, err
 	}
+	r.c.mu.Lock()
 	r.replica = replica
+	r.c.mu.Unlock()
 	return replica, nil
 }
 
@@ -627,27 +514,17 @@ func (r *RemoteDB) Get(unid nsf.UNID) (*nsf.Note, error) {
 
 // Create stores a new document. Creation assigns server-side identity, so
 // it is not idempotent and is never re-sent after a mid-trip failure.
-func (r *RemoteDB) Create(n *nsf.Note) error {
-	d, err := r.call(OpCreateNote, false, func() *Enc {
-		return NewEnc(OpCreateNote).U32(r.handle).Note(n)
-	})
-	if err != nil {
-		return err
-	}
-	// The server returns the stored note (with assigned IDs and OID).
-	stored := d.Note()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	*n = *stored
-	return nil
-}
+func (r *RemoteDB) Create(n *nsf.Note) error { return r.store(OpCreateNote, n) }
 
 // Update stores a modified document. A re-sent update advances the version
 // twice, so it is not retried after a mid-trip failure.
-func (r *RemoteDB) Update(n *nsf.Note) error {
-	d, err := r.call(OpUpdateNote, false, func() *Enc {
-		return NewEnc(OpUpdateNote).U32(r.handle).Note(n)
+func (r *RemoteDB) Update(n *nsf.Note) error { return r.store(OpUpdateNote, n) }
+
+// store sends n with a create or update op and adopts the stored note the
+// server returns (with assigned IDs and OID).
+func (r *RemoteDB) store(op Op, n *nsf.Note) error {
+	d, err := r.call(op, false, func() *Enc {
+		return NewEnc(op).U32(r.handle).Note(n)
 	})
 	if err != nil {
 		return err
@@ -691,11 +568,11 @@ func (r *RemoteDB) PutBatch(notes []*nsf.Note) (stored int, err error) {
 	}
 	// Sequence numbers are claimed once per batch, not per attempt, so a
 	// retry re-sends the same (key, base) and dedups server-side.
-	r.c.mu.Lock()
+	r.c.putMu.Lock()
+	defer r.c.putMu.Unlock()
 	base := r.c.putSeq + 1
 	r.c.putSeq += uint64(len(notes))
 	key := r.c.putKey
-	r.c.mu.Unlock()
 	d, err := r.call(OpPutBatch, true, func() *Enc {
 		req := NewEnc(OpPutBatch).U32(r.handle).Str(key).U64(base).
 			U32(uint32(len(notes)))

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sync"
 
 	"repro/internal/nsf"
@@ -14,10 +15,13 @@ import (
 // touched again) should Release it so its grown buffer is reused instead of
 // reallocated per message. Never releasing is safe — the GC collects the
 // encoder — it just forfeits the reuse.
+//
+// The buffer keeps room for the frame header in front of the payload, so
+// WriteFrame sends a whole frame in one write.
 type Enc struct{ buf []byte }
 
 // encPool recycles encoders (and, through them, their grown buffers).
-var encPool = sync.Pool{New: func() any { return new(Enc) }}
+var encPool = sync.Pool{New: func() any { return &Enc{buf: make([]byte, headerLen, 256)} }}
 
 // maxPooledEnc caps the buffer size worth pooling, so one huge message
 // cannot pin a huge buffer in the pool.
@@ -26,16 +30,12 @@ const maxPooledEnc = 1 << 20
 // NewEnc starts a request payload with the given op.
 func NewEnc(op Op) *Enc {
 	e := encPool.Get().(*Enc)
-	e.buf = append(e.buf[:0], byte(op))
+	e.buf = append(e.buf[:headerLen], byte(op))
 	return e
 }
 
 // NewResp starts a response payload for op with a status byte.
-func NewResp(op Op, status byte) *Enc {
-	e := encPool.Get().(*Enc)
-	e.buf = append(e.buf[:0], byte(op)|respBit, status)
-	return e
-}
+func NewResp(op Op, status byte) *Enc { return NewEnc(op | respBit).U8(status) }
 
 // Release returns the encoder to the pool. The caller must not use (or
 // re-release) it afterwards.
@@ -47,7 +47,17 @@ func (e *Enc) Release() {
 }
 
 // Bytes returns the accumulated payload.
-func (e *Enc) Bytes() []byte { return e.buf }
+func (e *Enc) Bytes() []byte { return e.buf[headerLen:] }
+
+// WriteFrame writes the payload as one frame under h, in a single write.
+// The caller serializes concurrent writers.
+func (e *Enc) WriteFrame(w io.Writer, h Header) error {
+	if err := putHeader(e.buf[:headerLen], len(e.buf)-headerLen, h); err != nil {
+		return err
+	}
+	_, err := w.Write(e.buf)
+	return err
+}
 
 // U8 appends a byte.
 func (e *Enc) U8(v byte) *Enc { e.buf = append(e.buf, v); return e }

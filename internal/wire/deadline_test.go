@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"net"
 	"sync/atomic"
@@ -11,9 +13,9 @@ import (
 )
 
 // deadlineResp builds a scripted StatusDeadlineExceeded response for the
-// (inner) request payload, with the given stage byte.
-func deadlineResp(inner []byte, stage byte) []byte {
-	return NewResp(Op(inner[0]), StatusDeadlineExceeded).U8(stage).Bytes()
+// request payload, with the given stage byte.
+func deadlineResp(req []byte, stage byte) []byte {
+	return NewResp(Op(req[0]), StatusDeadlineExceeded).U8(stage).Bytes()
 }
 
 // TestDeadlineExceededNotResent: a deadline expiry mid-op is ambiguous —
@@ -23,20 +25,16 @@ func deadlineResp(inner []byte, stage byte) []byte {
 // is resent: the contrast is the point.
 func TestDeadlineExceededNotResent(t *testing.T) {
 	var creates atomic.Int32
-	addr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
-		_, inner, err := SplitBudget(payload)
-		if err != nil {
-			return false
-		}
+	addr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
 		switch {
-		case Op(inner[0]) == OpOpenDB:
-			return openOK(conn, inner)
+		case Op(payload[0]) == OpOpenDB:
+			return openOK(c, payload)
 		case creates.Add(1) == 1:
 			// First create: the deadline died mid-op. Ambiguous.
-			return WriteFrame(conn, deadlineResp(inner, DeadlineAborted)) == nil
+			return c.reply(deadlineResp(payload, DeadlineAborted))
 		default:
 			n := nsf.NewNote(nsf.ClassDocument)
-			return WriteFrame(conn, NewResp(OpCreateNote, StatusOK).Note(n).Bytes()) == nil
+			return c.reply(NewResp(OpCreateNote, StatusOK).Note(n).Bytes())
 		}
 	})
 	c, err := DialOptions(addr, "u", "s", fastOpts()) // retries ON
@@ -76,15 +74,11 @@ func TestDeadlineExceededNotResent(t *testing.T) {
 // shed the request before executing it) surfaces as a non-ambiguous
 // DeadlineError — the caller knows the op never ran.
 func TestDeadlineRefusedIsUnambiguous(t *testing.T) {
-	addr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
-		_, inner, err := SplitBudget(payload)
-		if err != nil {
-			return false
+	addr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
+		if Op(payload[0]) == OpOpenDB {
+			return openOK(c, payload)
 		}
-		if Op(inner[0]) == OpOpenDB {
-			return openOK(conn, inner)
-		}
-		return WriteFrame(conn, deadlineResp(inner, DeadlineRefused)) == nil
+		return c.reply(deadlineResp(payload, DeadlineRefused))
 	})
 	c, err := DialOptions(addr, "u", "s", noRetryOpts())
 	if err != nil {
@@ -111,30 +105,24 @@ func TestDeadlineRefusedIsUnambiguous(t *testing.T) {
 // failover can never stretch the user's deadline to budget x mates.
 func TestBudgetShrinksAcrossFailover(t *testing.T) {
 	var b1, b2 atomic.Uint32
-	mate1 := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
-		budget, inner, err := SplitBudget(payload)
-		if err != nil {
-			return false
-		}
-		if Op(inner[0]) == OpOpenDB {
-			return openOK(conn, inner)
+	mate1 := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
+		budget := c.budget
+		if Op(payload[0]) == OpOpenDB {
+			return openOK(c, payload)
 		}
 		// First capture only: the breaker cooldown may route later
 		// attempts of the same op back here with even less budget.
 		b1.CompareAndSwap(0, budget)
 		time.Sleep(80 * time.Millisecond) // burn budget before shedding
-		return WriteFrame(conn, busyResp(inner, StateOpen, 5)) == nil
+		return c.reply(busyResp(payload, StateOpen, 5))
 	})
-	mate2 := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
-		budget, inner, err := SplitBudget(payload)
-		if err != nil {
-			return false
-		}
-		if Op(inner[0]) == OpOpenDB {
-			return openOK(conn, inner)
+	mate2 := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
+		budget := c.budget
+		if Op(payload[0]) == OpOpenDB {
+			return openOK(c, payload)
 		}
 		b2.CompareAndSwap(0, budget)
-		return WriteFrame(conn, busyResp(inner, StateOpen, 5)) == nil
+		return c.reply(busyResp(payload, StateOpen, 5))
 	})
 	opts := failoverTestOpts()
 	opts.Client.OpBudget = 400 * time.Millisecond
@@ -162,32 +150,30 @@ func TestBudgetShrinksAcrossFailover(t *testing.T) {
 
 // TestHedgedReadWinsOverSlowMate: with hedged reads on, a read parked on a
 // slow mate is raced against a second mate after the hedge delay; the fast
-// response wins, the slow primary is cancelled, and the caller sees
-// fast-mate latency instead of slow-mate latency.
+// response wins, the slow primary is withdrawn in-band, and the caller sees
+// fast-mate latency instead of slow-mate latency. Withdrawing the loser
+// keeps its connection: no mate is redialed after the hedge wins.
 func TestHedgedReadWinsOverSlowMate(t *testing.T) {
 	note := nsf.NewNote(nsf.ClassDocument)
-	slowAddr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
-		_, inner, err := SplitBudget(payload)
-		if err != nil {
-			return false
-		}
-		if Op(inner[0]) == OpOpenDB {
-			return openOK(conn, inner)
+	slowAddr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
+		if Op(payload[0]) == OpOpenDB {
+			return openOK(c, payload)
 		}
 		time.Sleep(500 * time.Millisecond) // the mate everyone waits on
-		return WriteFrame(conn, NewResp(OpGetNote, StatusOK).Note(note).Bytes()) == nil
+		return c.reply(NewResp(OpGetNote, StatusOK).Note(note).Bytes())
 	})
-	fastAddr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
-		_, inner, err := SplitBudget(payload)
-		if err != nil {
-			return false
+	fastAddr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
+		if Op(payload[0]) == OpOpenDB {
+			return openOK(c, payload)
 		}
-		if Op(inner[0]) == OpOpenDB {
-			return openOK(conn, inner)
-		}
-		return WriteFrame(conn, NewResp(OpGetNote, StatusOK).Note(note).Bytes()) == nil
+		return c.reply(NewResp(OpGetNote, StatusOK).Note(note).Bytes())
 	})
+	var dials atomic.Int32
 	opts := failoverTestOpts()
+	opts.Client.Dialer = func(network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return net.Dial(network, addr)
+	}
 	opts.Client.OpBudget = 2 * time.Second
 	opts.HedgeReads = true
 	opts.HedgeDelay = 10 * time.Millisecond
@@ -201,6 +187,7 @@ func TestHedgedReadWinsOverSlowMate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	setupDials := dials.Load()
 	start := time.Now()
 	if _, err := db.Get(note.OID.UNID); err != nil {
 		t.Fatalf("hedged get: %v", err)
@@ -212,24 +199,87 @@ func TestHedgedReadWinsOverSlowMate(t *testing.T) {
 	if st.Hedges == 0 || st.HedgeWins == 0 {
 		t.Errorf("stats = hedges %d wins %d, want both > 0", st.Hedges, st.HedgeWins)
 	}
+	// The hedge dials its mate once; a second hedged read reuses both
+	// sessions.
+	after := dials.Load()
+	if after != setupDials+1 {
+		t.Errorf("%d dials for one hedged read, want 1 (the hedge session)", after-setupDials)
+	}
+	if _, err := db.Get(note.OID.UNID); err != nil {
+		t.Fatalf("second hedged get: %v", err)
+	}
+	if got := dials.Load(); got != after {
+		t.Errorf("%d redials after the hedge won, want none", got-after)
+	}
+}
+
+// TestCancelWithdrawsRequestInBand: cancelling an operation's context sends
+// OpCancel for its request and returns at once; the connection stays up,
+// the late answer to the withdrawn request is dropped, and the next
+// operation runs on the same connection.
+func TestCancelWithdrawsRequestInBand(t *testing.T) {
+	var cancelsSeen atomic.Int32
+	addr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
+		switch Op(payload[0]) {
+		case OpOpenDB:
+			return openOK(c, payload)
+		case OpGetNote:
+			time.Sleep(200 * time.Millisecond) // answered after the caller gave up
+		default:
+			cancelsSeen.Store(int32(c.cancels))
+		}
+		return c.reply(NewResp(Op(payload[0]), StatusOK).Note(nsf.NewNote(nsf.ClassDocument)).Bytes())
+	})
+	var dials atomic.Int32
+	o := fastOpts()
+	o.Dialer = func(network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return net.Dial(network, addr)
+	}
+	c, err := DialOptions(addr, "u", "s", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	db, err := c.OpenDB("x.nsf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	start := time.Now()
+	if _, err := db.with(ctx).Get(nsf.NewUNID()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Get = %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > 150*time.Millisecond {
+		t.Errorf("cancelled Get returned after %v, want promptly", elapsed)
+	}
+	// The script answers the withdrawn Get first; the Create behind it must
+	// get its own answer, not that one.
+	n := nsf.NewNote(nsf.ClassDocument)
+	if err := db.Create(n); err != nil {
+		t.Fatalf("create after cancel: %v", err)
+	}
+	if got := cancelsSeen.Load(); got != 1 {
+		t.Errorf("server saw %d OpCancel frames, want 1", got)
+	}
+	if got := dials.Load(); got != 1 {
+		t.Errorf("%d dials, want 1: cancelling must not cost the connection", got)
+	}
 }
 
 // TestClientBudgetExpiryPreSend: with the budget already spent, the client
 // refuses locally — unambiguous (never sent) — without touching the wire.
 func TestClientBudgetExpiryPreSend(t *testing.T) {
 	var ops atomic.Int32
-	addr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
-		_, inner, err := SplitBudget(payload)
-		if err != nil {
-			return false
-		}
-		if Op(inner[0]) == OpOpenDB {
+	addr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
+		if Op(payload[0]) == OpOpenDB {
 			ops.Add(1)
-			return openOK(conn, inner)
+			return openOK(c, payload)
 		}
 		ops.Add(1)
 		time.Sleep(50 * time.Millisecond)
-		return WriteFrame(conn, busyResp(inner, StateOpen, 50)) == nil
+		return c.reply(busyResp(payload, StateOpen, 50))
 	})
 	o := fastOpts()
 	o.OpBudget = 30 * time.Millisecond
@@ -259,19 +309,15 @@ func TestClientBudgetExpiryPreSend(t *testing.T) {
 // stalled exchange must not poison the session.
 func TestBudgetAbandonThenRecover(t *testing.T) {
 	var slowDone atomic.Bool
-	addr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
-		_, inner, err := SplitBudget(payload)
-		if err != nil {
-			return false
-		}
-		if Op(inner[0]) == OpOpenDB {
-			return openOK(conn, inner)
+	addr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
+		if Op(payload[0]) == OpOpenDB {
+			return openOK(c, payload)
 		}
 		if slowDone.CompareAndSwap(false, true) {
 			time.Sleep(400 * time.Millisecond) // past the budget
 		}
 		n := nsf.NewNote(nsf.ClassDocument)
-		return WriteFrame(conn, NewResp(OpCreateNote, StatusOK).Note(n).Bytes()) == nil
+		return c.reply(NewResp(OpCreateNote, StatusOK).Note(n).Bytes())
 	})
 	o := fastOpts()
 	o.OpBudget = 80 * time.Millisecond
@@ -299,33 +345,25 @@ func TestBudgetAbandonThenRecover(t *testing.T) {
 // operation runs on a healthy mate instead of feeding the stall another
 // budget. The expired op itself still surfaces its ambiguous verdict.
 func TestLocalExpiryOpensBreaker(t *testing.T) {
-	stalled := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
-		_, inner, err := SplitBudget(payload)
-		if err != nil {
-			return false
-		}
-		switch Op(inner[0]) {
+	stalled := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
+		switch Op(payload[0]) {
 		case OpOpenDB:
-			return openOK(conn, inner)
+			return openOK(c, payload)
 		case OpCreateNote:
 			time.Sleep(5 * time.Second) // never answers within any budget
 			return false
 		default:
 			// Answer bookkeeping ops (the eager placement resolve on
 			// OpenDB) promptly so only the data op eats the budget.
-			return WriteFrame(conn, NewResp(Op(inner[0]), StatusError).Str("no").Bytes()) == nil
+			return c.reply(NewResp(Op(payload[0]), StatusError).Str("no").Bytes())
 		}
 	})
-	healthy := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
-		_, inner, err := SplitBudget(payload)
-		if err != nil {
-			return false
-		}
-		if Op(inner[0]) == OpOpenDB {
-			return openOK(conn, inner)
+	healthy := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
+		if Op(payload[0]) == OpOpenDB {
+			return openOK(c, payload)
 		}
 		n := nsf.NewNote(nsf.ClassDocument)
-		return WriteFrame(conn, NewResp(OpCreateNote, StatusOK).Note(n).Bytes()) == nil
+		return c.reply(NewResp(OpCreateNote, StatusOK).Note(n).Bytes())
 	})
 	opts := failoverTestOpts()
 	opts.Client.OpBudget = 100 * time.Millisecond
@@ -354,32 +392,27 @@ func TestLocalExpiryOpensBreaker(t *testing.T) {
 	}
 }
 
-// TestBudgetFrameRoundTrip pins the envelope encoding: WriteBudgetFrame
-// prepends exactly [OpBudget][u32 ms] and SplitBudget strips it, passing
-// unbudgeted payloads through untouched.
+// TestBudgetFrameRoundTrip pins the frame header encoding: WriteFrame
+// prepends exactly [u32 len][u32 id][u32 budget-ms], and ReadFrame hands
+// the ID and budget back with the payload untouched.
 func TestBudgetFrameRoundTrip(t *testing.T) {
-	inner := NewEnc(OpDBInfo).U32(7).Bytes()
-	left, right := net.Pipe()
-	defer left.Close()
-	defer right.Close()
-	go WriteBudgetFrame(left, 1234, inner)
-	payload, err := ReadFrame(right)
+	req := NewEnc(OpDBInfo).U32(7).Bytes()
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, Header{ID: 42, Budget: 1234}, req); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{byte(len(req)), 0, 0, 0, 42, 0, 0, 0, 0xD2, 0x04, 0, 0}
+	if got := buf.Bytes()[:headerLen]; !bytes.Equal(got, want) {
+		t.Fatalf("header = % x, want % x", got, want)
+	}
+	h, got, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget, got, err := SplitBudget(payload)
-	if err != nil {
-		t.Fatal(err)
+	if h != (Header{ID: 42, Budget: 1234}) {
+		t.Errorf("header = %+v, want ID 42 budget 1234", h)
 	}
-	if budget != 1234 {
-		t.Errorf("budget = %d, want 1234", budget)
-	}
-	if string(got) != string(inner) {
-		t.Errorf("inner payload corrupted by budget envelope")
-	}
-	// Passthrough: no envelope, budget 0, payload unchanged.
-	budget, got, err = SplitBudget(inner)
-	if err != nil || budget != 0 || string(got) != string(inner) {
-		t.Errorf("passthrough = (%d, %q, %v), want (0, original, nil)", budget, got, err)
+	if !bytes.Equal(got, req) {
+		t.Errorf("payload corrupted by the frame header")
 	}
 }

@@ -118,13 +118,6 @@ var ErrDeadline = errors.New("wire: deadline exceeded")
 // Is lets errors.Is(err, ErrDeadline) match budget expiries.
 func (e *DeadlineError) Is(target error) bool { return target == ErrDeadline }
 
-// ErrAbandoned is returned by an operation severed out-of-band with
-// Client.CancelInflight: a hedged read won on another mate and nobody is
-// waiting for this one anymore. The mate is not at fault and the result —
-// had it arrived — would have been discarded, so the error is never
-// retried and never counts against a mate's breaker.
-var ErrAbandoned = errors.New("wire: operation abandoned (hedge won elsewhere)")
-
 // ErrClosed is returned by operations on a client after Close.
 var ErrClosed = errors.New("wire: client closed")
 

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,10 +51,10 @@ type FailoverOptions struct {
 	// operations (Get, ViewPage, SearchPage): when the connected mate has
 	// not answered after a delay derived from the observed latency
 	// distribution, the same read is issued to a second mate and the first
-	// response wins. The loser is cancelled through its propagated
-	// deadline/CancelInflight, so a stalled mate costs one hedge delay
-	// instead of a full timeout. Requires Client.OpBudget (the hedge rides
-	// the same budget).
+	// response wins. The loser's request is withdrawn in-band (OpCancel)
+	// and its connection stays up, so a stalled mate costs one hedge delay
+	// instead of a full timeout, and nobody pays a redial afterwards.
+	// Requires Client.OpBudget (the hedge rides the same budget).
 	HedgeReads bool
 	// HedgeDelay fixes the delay before the hedge fires. Zero derives it
 	// adaptively from the read-latency EWMA plus 3 x its mean deviation —
@@ -150,8 +152,9 @@ type FailoverStats struct {
 }
 
 // FailoverClient holds a session that survives the death of individual
-// cluster mates. Requests are serialized; one FailoverClient supports
-// concurrent callers.
+// cluster mates. One FailoverClient supports concurrent callers, but its
+// operations run one at a time under the client lock (a hedge runs beside
+// the primary it races).
 type FailoverClient struct {
 	opts   FailoverOptions
 	user   string
@@ -177,8 +180,6 @@ type FailoverClient struct {
 	hClient *Client
 	hAddr   string
 	hDBs    map[string]*RemoteDB
-	// hInFlight serializes hedges (one cancellable hedge op at a time).
-	hInFlight bool
 	// hTokens is the hedge-rate token bucket (see HedgeRateCap).
 	hTokens float64
 	// latEwmaUs/latDevUs track read latency (EWMA and mean deviation,
@@ -220,11 +221,7 @@ func DialFailover(addrs []string, user, secret string, opts FailoverOptions) (*F
 // Close terminates the current connection (and any cached hedge session).
 func (fc *FailoverClient) Close() error {
 	fc.hmu.Lock()
-	if fc.hClient != nil {
-		fc.hClient.Close()
-		fc.hClient = nil
-		fc.hDBs = make(map[string]*RemoteDB)
-	}
+	fc.dropHedgeLocked(fc.hClient)
 	fc.hmu.Unlock()
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
@@ -517,68 +514,55 @@ func (fc *FailoverClient) rebindLocked(c *Client) error {
 // withFailover runs fn with mate failover: shed (busy) responses, placement
 // redirects, and — for idempotent operations — transport failures move the
 // session to the next-best mate and retry, bounded by MaxFailovers.
-// Application errors never fail over.
-func (fc *FailoverClient) withFailover(idempotent bool, fn func() error) error {
-	return fc.withFailoverDB(nil, idempotent, fn)
-}
-
-// withFailoverDB is withFailover with connection attempts biased toward
-// db's home mates (nil db means no bias).
-func (fc *FailoverClient) withFailoverDB(db *FailoverDB, idempotent bool, fn func() error) error {
-	return fc.withFailoverDeadline(db, idempotent, time.Time{}, fn)
-}
-
-// withFailoverDeadline is the failover loop with an absolute operation
-// deadline. A zero deadline is stamped from Client.OpBudget (when set), so
-// ONE user budget spans every mate switch and retry: each hop adopts the
-// same absolute deadline and its wire envelope carries only what remains.
-func (fc *FailoverClient) withFailoverDeadline(db *FailoverDB, idempotent bool, deadline time.Time, fn func() error) error {
+// Application errors never fail over. Connection attempts are biased toward
+// db's home mates (nil db means no bias). A ctx without a deadline gets
+// Client.OpBudget, so ONE user budget spans every mate switch and retry:
+// each hop runs under the same ctx and its frames carry only what remains.
+func (fc *FailoverClient) withFailover(ctx context.Context, db *FailoverDB, idempotent bool, fn func(ctx context.Context) error) error {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	fc.routeHint = db
 	defer func() { fc.routeHint = nil }()
-	if deadline.IsZero() && fc.opts.Client.OpBudget > 0 {
-		deadline = time.Now().Add(fc.opts.Client.OpBudget)
-	}
-	if !deadline.IsZero() {
-		defer func() {
-			if fc.client != nil {
-				fc.client.setOpDeadline(time.Time{})
-			}
-		}()
+	if _, ok := ctx.Deadline(); !ok && fc.opts.Client.OpBudget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, fc.opts.Client.OpBudget)
+		defer cancel()
 	}
 	for switches := 0; ; switches++ {
 		if fc.closed {
 			return ErrClosed
 		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) && switches > 0 {
-			// Budget spent between hops: every abandoned attempt ended in
-			// a provably-not-executed state (shed, redirect, refused) or
-			// was idempotent, so this expiry is unambiguous.
-			return &DeadlineError{}
+		if err := ctx.Err(); err != nil && switches > 0 {
+			if err == context.DeadlineExceeded {
+				// Budget spent between hops: every abandoned attempt ended
+				// in a provably-not-executed state (shed, redirect, refused)
+				// or was idempotent, so this expiry is unambiguous.
+				return &DeadlineError{}
+			}
+			return err
 		}
 		if fc.client == nil {
 			if err := fc.connectLocked(); err != nil {
 				return err
 			}
 		}
-		if !deadline.IsZero() {
-			fc.client.setOpDeadline(deadline)
-		}
-		err := fn()
+		err := fn(ctx)
 		if err == nil {
 			m := fc.mates[fc.cur]
 			m.fails, m.reopens = 0, 0
 			return nil
 		}
-		if errors.Is(err, ErrAbandoned) {
-			// CancelInflight severed this op (a hedge won elsewhere). The
-			// mate did nothing wrong: no breaker damage, no failover — the
-			// caller is discarding this result anyway.
-			return err
-		}
 		var de *DeadlineError
-		if errors.As(err, &de) {
+		var be *BusyError
+		var wme *WrongMateError
+		var se *ServerError
+		switch {
+		case errors.Is(err, context.Canceled), errors.As(err, &se):
+			// The caller withdrew this op (a hedge won elsewhere), or the
+			// mate reported an application error. Either way the mate is
+			// healthy: no breaker damage, no failover.
+			return err
+		case errors.As(err, &de):
 			// The budget is spent; a failover hop would run on the same
 			// exhausted budget. Surface it — preserving the ambiguity
 			// verdict, which the caller needs for non-idempotent ops. A
@@ -593,9 +577,7 @@ func (fc *FailoverClient) withFailoverDeadline(db *FailoverDB, idempotent bool, 
 				fc.abandonLocked()
 			}
 			return err
-		}
-		var be *BusyError
-		if errors.As(err, &be) {
+		case errors.As(err, &be):
 			// The mate shed the request before executing it: remember how
 			// loaded it is, then redirect — safe even for non-idempotent
 			// operations.
@@ -603,41 +585,27 @@ func (fc *FailoverClient) withFailoverDeadline(db *FailoverDB, idempotent bool, 
 			m.avail = be.Availability
 			m.restricted = be.State == StateRestricted
 			fc.stats.BusyRedirects++
-			fc.abandonLocked()
-			if switches >= fc.opts.MaxFailovers {
-				return err
-			}
-			continue
-		}
-		var wme *WrongMateError
-		if errors.As(err, &wme) {
+		case errors.As(err, &wme):
 			// Placement redirect: the request never executed. Adopt the
 			// carried home set (fresher generation wins), then reconnect —
 			// the route hint steers the dial to a home mate. Safe for
 			// non-idempotent operations, like a busy shed.
 			fc.noteRecordLocked(wme.Path, wme.Generation, wme.Homes)
 			fc.stats.WrongMateRedirects++
-			fc.abandonLocked()
-			if switches >= fc.opts.MaxFailovers {
+		default:
+			// Transport failure: the inner client already spent its (short)
+			// retry/redial budget against this mate. Count it, open the
+			// path to the breaker, and fail over.
+			fc.markFailLocked(fc.cur)
+			fc.stats.Failovers++
+			if !idempotent {
+				// The dead mate may have executed the request; surface the
+				// failure. The NEXT operation finds a live mate.
+				fc.abandonLocked()
 				return err
 			}
-			continue
 		}
-		var se *ServerError
-		if errors.As(err, &se) {
-			return err // application error: the mate is healthy
-		}
-		// Transport failure: the inner client already spent its (short)
-		// retry/redial budget against this mate. Count it, open the path
-		// to the breaker, and fail over.
-		fc.markFailLocked(fc.cur)
-		fc.stats.Failovers++
 		fc.abandonLocked()
-		if !idempotent {
-			// The dead mate may have executed the request; surface the
-			// failure. The NEXT operation finds a live mate.
-			return err
-		}
 		if switches >= fc.opts.MaxFailovers {
 			return err
 		}
@@ -647,9 +615,9 @@ func (fc *FailoverClient) withFailoverDeadline(db *FailoverDB, idempotent bool, 
 // Availability reports the connected mate's availability snapshot.
 func (fc *FailoverClient) Availability() (AvailabilityInfo, error) {
 	var info AvailabilityInfo
-	err := fc.withFailover(true, func() error {
+	err := fc.withFailover(context.Background(), nil, true, func(ctx context.Context) error {
 		var err error
-		info, err = fc.client.Availability()
+		info, err = fc.client.availability(ctx)
 		return err
 	})
 	return info, err
@@ -658,8 +626,8 @@ func (fc *FailoverClient) Availability() (AvailabilityInfo, error) {
 // MailDeposit routes a mail note via whichever mate is alive. Depositing
 // is not idempotent; a mid-trip failure is surfaced, not re-sent.
 func (fc *FailoverClient) MailDeposit(n *nsf.Note) error {
-	return fc.withFailover(false, func() error {
-		return fc.client.MailDeposit(n)
+	return fc.withFailover(context.Background(), nil, false, func(ctx context.Context) error {
+		return fc.client.mailDeposit(ctx, n)
 	})
 }
 
@@ -671,7 +639,7 @@ func (fc *FailoverClient) OpenDB(path string) (*FailoverDB, error) {
 	db := &FailoverDB{fc: fc, path: path}
 	fc.dbs[db] = struct{}{} // registered first so a failover rebinds it too
 	fc.mu.Unlock()
-	err := fc.withFailoverDB(db, true, func() error {
+	err := fc.withFailover(context.Background(), db, true, func(ctx context.Context) error {
 		if db.r != nil {
 			return nil // a connectLocked rebind already bound it
 		}
@@ -684,7 +652,7 @@ func (fc *FailoverClient) OpenDB(path string) (*FailoverDB, error) {
 			// redirect. A resolve failure is not fatal — the open itself
 			// carries the same information in its redirect.
 			fc.stats.Resolves++
-			if info, rerr := fc.client.Resolve(db.path); rerr == nil {
+			if info, rerr := fc.client.resolve(ctx, db.path); rerr == nil {
 				fc.noteRecordLocked(info.Path, info.Generation, info.Homes)
 				if !db.resolved || info.Generation >= db.gen {
 					db.gen = info.Generation
@@ -698,7 +666,7 @@ func (fc *FailoverClient) OpenDB(path string) (*FailoverDB, error) {
 		if werr := fc.offHomeLocked(db); werr != nil {
 			return werr
 		}
-		r, err := fc.client.OpenDB(db.path)
+		r, err := fc.client.openDB(ctx, db.path)
 		if err != nil {
 			return err
 		}
@@ -767,25 +735,30 @@ func (f *FailoverDB) Release() {
 	delete(f.fc.dbs, f)
 }
 
-// do runs one operation against the handle on whichever mate is current,
-// with connection attempts biased toward this database's home mates.
-func (f *FailoverDB) do(idempotent bool, fn func(r *RemoteDB) error) error {
-	return f.doDeadline(idempotent, time.Time{}, fn)
-}
-
-// doDeadline is do under an explicit absolute deadline (zero: stamp from
-// Client.OpBudget). Hedged reads pass the deadline they snapshotted, so
-// primary and hedge run out of the SAME budget.
-func (f *FailoverDB) doDeadline(idempotent bool, deadline time.Time, fn func(r *RemoteDB) error) error {
-	return f.fc.withFailoverDeadline(f, idempotent, deadline, func() error {
+// call runs fn under ctx against the handle on whichever mate is current,
+// with connection attempts biased toward f's home mates. Hedged reads pass a
+// context carrying the deadline they snapshotted, so primary and hedge run
+// out of the SAME budget, and cancel it to withdraw the loser.
+func call[T any](ctx context.Context, f *FailoverDB, idempotent bool, fn func(r *RemoteDB) (T, error)) (T, error) {
+	var v T
+	err := f.fc.withFailover(ctx, f, idempotent, func(ctx context.Context) error {
 		if f.stale != nil {
 			return f.stale
 		}
 		if f.r == nil {
 			return protoErrorf("failover handle not bound")
 		}
-		return fn(f.r)
+		var err error
+		v, err = fn(f.r.with(ctx))
+		return err
 	})
+	return v, err
+}
+
+// do runs an operation that returns only an error (see call).
+func (f *FailoverDB) do(idempotent bool, fn func(r *RemoteDB) error) error {
+	_, err := call(context.Background(), f, idempotent, func(r *RemoteDB) (struct{}, error) { return struct{}{}, fn(r) })
+	return err
 }
 
 // ---- hedged reads ----
@@ -831,51 +804,29 @@ func (fc *FailoverClient) recordReadLatency(d time.Duration) {
 
 // takeHedgeToken accrues HedgeRateCap tokens for an eligible read and
 // tries to spend one; false means the rate cap says no hedge this time.
-// It also claims the single hedge-in-flight slot.
 func (fc *FailoverClient) takeHedgeToken() bool {
 	fc.hmu.Lock()
 	defer fc.hmu.Unlock()
-	fc.hTokens += fc.opts.HedgeRateCap
-	if fc.hTokens > hedgeBurst {
-		fc.hTokens = hedgeBurst
-	}
-	if fc.hTokens < 1 || fc.hInFlight {
+	fc.hTokens = min(fc.hTokens+fc.opts.HedgeRateCap, hedgeBurst)
+	if fc.hTokens < 1 {
 		return false
 	}
 	fc.hTokens--
-	fc.hInFlight = true
 	return true
 }
 
-// hedgeExec runs one read against a cached second-mate session, bounded by
-// the same absolute deadline as the primary. alts lists acceptable hedge
-// addresses (never the primary's). Must be entered with the hedge-in-
-// flight slot held; it is released here.
-func (fc *FailoverClient) hedgeExec(path string, deadline time.Time, alts []string, fn func(r *RemoteDB) error) error {
-	defer func() {
-		fc.hmu.Lock()
-		fc.hInFlight = false
-		fc.hmu.Unlock()
-	}()
+// hedgeExec runs one read against a cached second-mate session under ctx,
+// which carries the primary's deadline. alts lists acceptable hedge
+// addresses (never the primary's). The session is multiplexed, so hedges
+// from concurrent reads share it.
+func (fc *FailoverClient) hedgeExec(ctx context.Context, path string, alts []string, fn func(r *RemoteDB) error) error {
 	fc.hmu.Lock()
 	// Reuse the cached hedge session only while it points at an acceptable
 	// mate; a stale one (e.g. now the primary) is dropped.
-	ok := fc.hClient != nil
-	if ok {
-		ok = false
-		for _, a := range alts {
-			if a == fc.hAddr {
-				ok = true
-				break
-			}
-		}
+	if fc.hClient != nil && !slices.Contains(alts, fc.hAddr) {
+		fc.dropHedgeLocked(fc.hClient)
 	}
-	if !ok {
-		if fc.hClient != nil {
-			fc.hClient.Close()
-			fc.hClient = nil
-			fc.hDBs = make(map[string]*RemoteDB)
-		}
+	if fc.hClient == nil {
 		c, err := DialOptions(alts[0], fc.user, fc.secret, fc.opts.Client)
 		if err != nil {
 			fc.hmu.Unlock()
@@ -887,7 +838,7 @@ func (fc *FailoverClient) hedgeExec(path string, deadline time.Time, alts []stri
 	rdb := fc.hDBs[path]
 	fc.hmu.Unlock()
 	if rdb == nil {
-		r, err := hc.OpenDB(path)
+		r, err := hc.openDB(ctx, path)
 		if err != nil {
 			return err
 		}
@@ -898,43 +849,36 @@ func (fc *FailoverClient) hedgeExec(path string, deadline time.Time, alts []stri
 		fc.hmu.Unlock()
 		rdb = r
 	}
-	hc.setOpDeadline(deadline)
-	err := fn(rdb)
-	hc.setOpDeadline(time.Time{})
+	err := fn(rdb.with(ctx))
 	if err != nil && Retryable(err) {
 		// Transport fault: the cached session is suspect; drop it so the
 		// next hedge dials fresh (possibly a different mate).
 		fc.hmu.Lock()
-		if fc.hClient == hc {
-			hc.Close()
-			fc.hClient = nil
-			fc.hDBs = make(map[string]*RemoteDB)
-		}
+		fc.dropHedgeLocked(hc)
 		fc.hmu.Unlock()
 	}
 	return err
 }
 
-// hedgeCancel severs an in-flight hedge (the primary won).
-func (fc *FailoverClient) hedgeCancel() {
-	fc.hmu.Lock()
-	hc := fc.hClient
-	fc.hmu.Unlock()
-	if hc != nil {
-		hc.CancelInflight()
+// dropHedgeLocked closes the cached hedge session if it is still hc
+// (fc.hmu held).
+func (fc *FailoverClient) dropHedgeLocked(hc *Client) {
+	if hc != nil && fc.hClient == hc {
+		hc.Close()
+		fc.hClient = nil
+		fc.hDBs = make(map[string]*RemoteDB)
 	}
 }
 
 // hedgeSnapshot captures, under fc.mu, everything a hedged read needs
-// before launching its primary goroutine: the primary client (to cancel it
-// if the hedge wins), the operation deadline, and the alternate mate
-// addresses. ok is false when hedging cannot apply (no budget, no second
-// mate, no live session yet).
-func (fc *FailoverClient) hedgeSnapshot(db *FailoverDB) (pc *Client, deadline time.Time, alts []string, ok bool) {
+// before launching its primary goroutine: the operation deadline and the
+// alternate mate addresses. ok is false when hedging cannot apply (off, no
+// budget, no second mate, no live session yet).
+func (fc *FailoverClient) hedgeSnapshot(db *FailoverDB) (deadline time.Time, alts []string, ok bool) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	if fc.closed || fc.client == nil || fc.cur < 0 || fc.opts.Client.OpBudget <= 0 {
-		return nil, time.Time{}, nil, false
+	if !fc.opts.HedgeReads || fc.closed || fc.client == nil || fc.cur < 0 || fc.opts.Client.OpBudget <= 0 {
+		return time.Time{}, nil, false
 	}
 	deadline = time.Now().Add(fc.opts.Client.OpBudget)
 	cur := fc.mates[fc.cur].addr
@@ -949,13 +893,14 @@ func (fc *FailoverClient) hedgeSnapshot(db *FailoverDB) (pc *Client, deadline ti
 		}
 	}
 	if len(alts) == 0 {
-		return nil, time.Time{}, nil, false
+		return time.Time{}, nil, false
 	}
-	return fc.client, deadline, alts, true
+	return deadline, alts, true
 }
 
 // hedgeResult carries one racer's outcome.
-type hedgeResult struct {
+type hedgeResult[T any] struct {
+	v     T
 	err   error
 	hedge bool
 }
@@ -963,173 +908,113 @@ type hedgeResult struct {
 // hedgedRead runs fn as a hedged read: the primary mate gets a head start
 // of one hedge delay; if it has not answered by then (and the rate cap
 // allows), the same read runs against a second mate and the first success
-// wins. The loser is cancelled — via CancelInflight plus the propagated
-// deadline — so neither mate keeps working for a caller that already has
-// its answer. fn must be idempotent and must tolerate being called
-// concurrently on two different RemoteDBs; results are written through
-// only by the winner (the caller's closure must guard against tearing —
-// here each fn writes to its own locals and the winner's are copied out).
+// wins. The loser's request is withdrawn in-band — its context is
+// cancelled, which sends OpCancel and leaves its connection up — so neither
+// mate keeps working for a caller that already has its answer. fn must be
+// idempotent and must tolerate running concurrently on two different
+// RemoteDBs.
 func hedgedRead[T any](f *FailoverDB, fn func(r *RemoteDB) (T, error)) (T, error) {
 	fc := f.fc
-	var winner T
-	if !fc.opts.HedgeReads {
-		err := f.do(true, func(r *RemoteDB) error {
-			v, err := fn(r)
-			if err == nil {
-				winner = v
-			}
-			return err
-		})
-		return winner, err
-	}
-	pc, deadline, alts, ok := fc.hedgeSnapshot(f)
+	start := time.Now()
+	deadline, alts, ok := fc.hedgeSnapshot(f)
 	if !ok {
-		start := time.Now()
-		err := f.do(true, func(r *RemoteDB) error {
-			v, err := fn(r)
-			if err == nil {
-				winner = v
-			}
-			return err
-		})
+		v, err := call(context.Background(), f, true, fn)
 		if err == nil {
 			fc.recordReadLatency(time.Since(start))
 		}
-		return winner, err
+		return v, err
 	}
-	ch := make(chan hedgeResult, 2)
-	var pv, hv T
-	start := time.Now()
+	ch := make(chan hedgeResult[T], 2)
+	pctx, pcancel := context.WithDeadline(context.Background(), deadline)
+	defer pcancel()
+	hctx, hcancel := context.WithDeadline(context.Background(), deadline)
+	defer hcancel() // withdraws a hedge that lost to the primary
 	go func() {
-		err := f.doDeadline(true, deadline, func(r *RemoteDB) error {
-			v, err := fn(r)
-			if err == nil {
-				pv = v
-			}
-			return err
-		})
-		ch <- hedgeResult{err: err}
+		v, err := call(pctx, f, true, fn)
+		ch <- hedgeResult[T]{v: v, err: err}
 	}()
-	var hedgeLaunched bool
-	timer := time.NewTimer(func() time.Duration {
-		fc.hmu.Lock()
-		defer fc.hmu.Unlock()
-		return fc.hedgeDelayLocked()
-	}())
+	fc.hmu.Lock()
+	timer := time.NewTimer(fc.hedgeDelayLocked())
+	fc.hmu.Unlock()
 	defer timer.Stop()
-	var first hedgeResult
+	var first hedgeResult[T]
+	racers := 1
 	select {
 	case first = <-ch:
 	case <-timer.C:
 		if fc.takeHedgeToken() {
-			hedgeLaunched = true
+			racers++
 			fc.hedges.Add(1)
 			go func() {
-				err := fc.hedgeExec(f.path, deadline, alts, func(r *RemoteDB) error {
-					v, err := fn(r)
-					if err == nil {
-						hv = v
-					}
+				var v T
+				err := fc.hedgeExec(hctx, f.path, alts, func(r *RemoteDB) (err error) {
+					v, err = fn(r)
 					return err
 				})
-				ch <- hedgeResult{err: err, hedge: true}
+				ch <- hedgeResult[T]{v: v, err: err, hedge: true}
 			}()
 		}
 		first = <-ch
 	}
-	if !hedgeLaunched {
-		if first.err == nil {
-			fc.recordReadLatency(time.Since(start))
-			return pv, nil
+	racers--
+	if first.err != nil && racers > 0 {
+		// First success wins: wait for the other racer. If both fail,
+		// prefer the primary's error (it carries failover context and
+		// ambiguity verdicts; the hedge was best-effort).
+		second := <-ch
+		racers--
+		if second.err == nil || first.hedge {
+			first = second
 		}
-		return winner, first.err
 	}
-	// Two racers in flight. First success wins; the loser is severed so it
-	// stops consuming its mate.
-	if first.err == nil {
-		if first.hedge {
-			fc.hedgeWins.Add(1)
-			pc.CancelInflight()
-			// Drain the primary's (cancelled) result so the goroutine is
-			// done with fc.mu before we return; CancelInflight makes this
+	switch {
+	case first.err != nil:
+	case first.hedge:
+		fc.hedgeWins.Add(1)
+		if racers > 0 {
+			// Withdraw the primary and drain its result, so its goroutine
+			// is done with fc.mu before we return; the cancel makes this
 			// prompt.
+			pcancel()
 			<-ch
-			return hv, nil
 		}
+	default:
 		fc.recordReadLatency(time.Since(start))
-		fc.hedgeCancel()
-		return pv, nil
 	}
-	second := <-ch
-	if second.err == nil {
-		if second.hedge {
-			fc.hedgeWins.Add(1)
-			return hv, nil
-		}
-		fc.recordReadLatency(time.Since(start))
-		return pv, nil
-	}
-	// Both failed: prefer the primary's error (it carries failover context
-	// and ambiguity verdicts; the hedge was best-effort).
-	if first.hedge {
-		return winner, second.err
-	}
-	return winner, first.err
+	return first.v, first.err
 }
 
 // ReplicaID implements repl.Peer.
 func (f *FailoverDB) ReplicaID() (nsf.ReplicaID, error) {
-	var id nsf.ReplicaID
-	err := f.do(true, func(r *RemoteDB) error {
-		var err error
-		id, err = r.ReplicaID()
-		return err
-	})
-	return id, err
+	return call(context.Background(), f, true, (*RemoteDB).ReplicaID)
 }
 
 // Summaries implements repl.Peer.
 func (f *FailoverDB) Summaries(since nsf.Timestamp, formulaSrc string) ([]repl.Summary, nsf.Timestamp, error) {
-	var sums []repl.Summary
 	var now nsf.Timestamp
-	err := f.do(true, func(r *RemoteDB) error {
-		var err error
+	sums, err := call(context.Background(), f, true, func(r *RemoteDB) (sums []repl.Summary, err error) {
 		sums, now, err = r.Summaries(since, formulaSrc)
-		return err
+		return sums, err
 	})
 	return sums, now, err
 }
 
 // Fetch implements repl.Peer.
 func (f *FailoverDB) Fetch(unids []nsf.UNID) ([]*nsf.Note, error) {
-	var notes []*nsf.Note
-	err := f.do(true, func(r *RemoteDB) error {
-		var err error
-		notes, err = r.Fetch(unids)
-		return err
-	})
-	return notes, err
+	return call(context.Background(), f, true, func(r *RemoteDB) ([]*nsf.Note, error) { return r.Fetch(unids) })
 }
 
 // Apply implements repl.Peer. Replication applies are idempotent by the
 // OID rules, so a batch interrupted by a mate's death is re-sent to the
 // survivor.
 func (f *FailoverDB) Apply(notes []*nsf.Note) (repl.ApplyStats, error) {
-	var st repl.ApplyStats
-	err := f.do(true, func(r *RemoteDB) error {
-		var err error
-		st, err = r.Apply(notes)
-		return err
-	})
-	return st, err
+	return call(context.Background(), f, true, func(r *RemoteDB) (repl.ApplyStats, error) { return r.Apply(notes) })
 }
 
 // Get fetches a note from whichever mate is current. With HedgeReads on, a
 // slow mate is raced by a second one and the first answer wins.
 func (f *FailoverDB) Get(unid nsf.UNID) (*nsf.Note, error) {
-	return hedgedRead(f, func(r *RemoteDB) (*nsf.Note, error) {
-		return r.Get(unid)
-	})
+	return hedgedRead(f, func(r *RemoteDB) (*nsf.Note, error) { return r.Get(unid) })
 }
 
 // Create stores a new document. Creation is not idempotent: a mid-trip
@@ -1153,24 +1038,12 @@ func (f *FailoverDB) Delete(unid nsf.UNID) error {
 // batch cursor makes it exactly-once even across failover or a placement
 // redirect mid-stream, so it retries as idempotent.
 func (f *FailoverDB) PutBatch(notes []*nsf.Note) (int, error) {
-	var stored int
-	err := f.do(true, func(r *RemoteDB) error {
-		var err error
-		stored, err = r.PutBatch(notes)
-		return err
-	})
-	return stored, err
+	return call(context.Background(), f, true, func(r *RemoteDB) (int, error) { return r.PutBatch(notes) })
 }
 
 // Search runs a full-text query on the current mate.
 func (f *FailoverDB) Search(query string) ([]ft.Result, error) {
-	var out []ft.Result
-	err := f.do(true, func(r *RemoteDB) error {
-		var err error
-		out, err = r.Search(query)
-		return err
-	})
-	return out, err
+	return call(context.Background(), f, true, func(r *RemoteDB) ([]ft.Result, error) { return r.Search(query) })
 }
 
 // SearchPage runs one page of a full-text query, optionally pre-joining
@@ -1186,22 +1059,14 @@ func (f *FailoverDB) SearchPage(query string, columns []string, start, limit int
 // switch between pages restarts nothing: view pages address rows by index,
 // so the next page simply comes from the new mate's rendering.
 func (f *FailoverDB) ViewRows(view string) ([]ViewRow, error) {
-	var rows []ViewRow
-	err := f.do(true, func(r *RemoteDB) error {
-		var err error
-		rows, err = r.ViewRows(view)
-		return err
-	})
-	return rows, err
+	return call(context.Background(), f, true, func(r *RemoteDB) ([]ViewRow, error) { return r.ViewRows(view) })
 }
 
 // ViewPage fetches one page of a rendered view from the current mate
 // (hedged when HedgeReads is on — view pages address rows by index, valid
 // on any mate).
 func (f *FailoverDB) ViewPage(view string, start, limit int) (ViewPage, error) {
-	return hedgedRead(f, func(r *RemoteDB) (ViewPage, error) {
-		return r.ViewPage(view, start, limit)
-	})
+	return hedgedRead(f, func(r *RemoteDB) (ViewPage, error) { return r.ViewPage(view, start, limit) })
 }
 
 // ScanPage runs one page of a bulk scan on the current mate. Scan cursors
@@ -1210,43 +1075,16 @@ func (f *FailoverDB) ViewPage(view string, start, limit int) (ViewPage, error) {
 // silently skipping or repeating documents; callers restart the scan with
 // a nil cursor in that case.
 func (f *FailoverDB) ScanPage(opts ScanOptions, cursor []byte) (ScanPage, error) {
-	var p ScanPage
-	err := f.do(true, func(r *RemoteDB) error {
-		var err error
-		p, err = r.ScanPage(opts, cursor)
-		return err
-	})
-	return p, err
+	return call(context.Background(), f, true, func(r *RemoteDB) (ScanPage, error) { return r.ScanPage(opts, cursor) })
 }
 
 // Scan pages a formula-filtered, projected scan through fn. A mate switch
 // mid-scan invalidates the cursor (see ScanPage) and surfaces as an error.
 func (f *FailoverDB) Scan(opts ScanOptions, fn func(ScanRow) bool) error {
-	var cursor []byte
-	for {
-		p, err := f.ScanPage(opts, cursor)
-		if err != nil {
-			return err
-		}
-		for _, row := range p.Rows {
-			if !fn(row) {
-				return nil
-			}
-		}
-		if !p.More {
-			return nil
-		}
-		cursor = p.Cursor
-	}
+	return scanPages(func(cursor []byte) (ScanPage, error) { return f.ScanPage(opts, cursor) }, fn)
 }
 
 // Info fetches the database statistics from the current mate.
 func (f *FailoverDB) Info() (DBInfo, error) {
-	var info DBInfo
-	err := f.do(true, func(r *RemoteDB) error {
-		var err error
-		info, err = r.Info()
-		return err
-	})
-	return info, err
+	return call(context.Background(), f, true, (*RemoteDB).Info)
 }

@@ -20,17 +20,17 @@ func busyResp(payload []byte, state byte, avail uint32) []byte {
 // scripted server sheds the first create and accepts the retry.
 func TestBusyShedRetriesNonIdempotent(t *testing.T) {
 	var sheds atomic.Int32
-	addr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
+	addr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
 		switch opNum {
 		case 0:
-			return openOK(conn, payload)
+			return openOK(c, payload)
 		case 1:
 			sheds.Add(1)
-			return WriteFrame(conn, busyResp(payload, StateOpen, 55)) == nil
+			return c.reply(busyResp(payload, StateOpen, 55))
 		default:
 			n := nsf.NewNote(nsf.ClassDocument)
 			resp := NewResp(OpCreateNote, StatusOK).Note(n)
-			return WriteFrame(conn, resp.Bytes()) == nil
+			return c.reply(resp.Bytes())
 		}
 	})
 	c, err := DialOptions(addr, "u", "s", fastOpts())
@@ -54,11 +54,11 @@ func TestBusyShedRetriesNonIdempotent(t *testing.T) {
 // as a BusyError carrying the server's state and availability index, is
 // recognized by errors.Is(err, ErrServerBusy), and counts as retryable.
 func TestBusyErrorCarriesAvailability(t *testing.T) {
-	addr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
+	addr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
 		if opNum == 0 {
-			return openOK(conn, payload)
+			return openOK(c, payload)
 		}
-		return WriteFrame(conn, busyResp(payload, StateRestricted, 7)) == nil
+		return c.reply(busyResp(payload, StateRestricted, 7))
 	})
 	c, err := DialOptions(addr, "u", "s", noRetryOpts())
 	if err != nil {
@@ -94,11 +94,11 @@ func failoverTestOpts() FailoverOptions {
 // to the next mate, and the shed's availability index is remembered against
 // the busy mate.
 func TestFailoverBusyRedirect(t *testing.T) {
-	busyAddr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
-		return WriteFrame(conn, busyResp(payload, StateOpen, 10)) == nil
+	busyAddr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
+		return c.reply(busyResp(payload, StateOpen, 10))
 	})
-	okAddr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
-		return openOK(conn, payload)
+	okAddr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
+		return openOK(c, payload)
 	})
 	fc, err := DialFailover([]string{busyAddr, okAddr}, "u", "s", failoverTestOpts())
 	if err != nil {
@@ -125,8 +125,8 @@ func TestFailoverDeadMateAtDial(t *testing.T) {
 	}
 	deadAddr := ln.Addr().String()
 	ln.Close()
-	okAddr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
-		return openOK(conn, payload)
+	okAddr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
+		return openOK(c, payload)
 	})
 	fc, err := DialFailover([]string{deadAddr, okAddr}, "u", "s", failoverTestOpts())
 	if err != nil {
@@ -142,20 +142,20 @@ func TestFailoverDeadMateAtDial(t *testing.T) {
 // an open handle; an idempotent operation retries on the survivor, against a
 // handle transparently re-opened there.
 func TestFailoverMidSessionRebindsHandles(t *testing.T) {
-	dieAddr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
+	dieAddr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
 		if opNum == 0 {
-			return openOK(conn, payload)
+			return openOK(c, payload)
 		}
 		return false // kill the connection on the first real op
 	})
 	var served atomic.Int32
-	okAddr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
+	okAddr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
 		if Op(payload[0]) == OpOpenDB {
-			return openOK(conn, payload)
+			return openOK(c, payload)
 		}
 		served.Add(1)
 		n := nsf.NewNote(nsf.ClassDocument)
-		return WriteFrame(conn, NewResp(OpGetNote, StatusOK).Note(n).Bytes()) == nil
+		return c.reply(NewResp(OpGetNote, StatusOK).Note(n).Bytes())
 	})
 	fc, err := DialFailover([]string{dieAddr, okAddr}, "u", "s", failoverTestOpts())
 	if err != nil {

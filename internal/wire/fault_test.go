@@ -31,10 +31,25 @@ func noRetryOpts() Options {
 	return o
 }
 
+// scriptConn is one scripted server connection, positioned at the request
+// being answered.
+type scriptConn struct {
+	net.Conn
+	id      uint32 // ID of the request being answered
+	budget  uint32 // its carried budget in milliseconds
+	cancels int    // OpCancel frames seen so far
+}
+
+// reply answers the current request.
+func (c *scriptConn) reply(payload []byte) bool {
+	return writeFrame(c.Conn, Header{ID: c.id}, payload) == nil
+}
+
 // scriptServer runs a minimal wire server whose behavior after a
 // successful hello is decided per-connection by script(conn, opNumber,
-// payload) returning false to kill the connection.
-func scriptServer(t *testing.T, script func(conn net.Conn, opNum int, payload []byte) bool) string {
+// payload) returning false to kill the connection. It answers requests one
+// at a time, in order, and only counts OpCancel frames.
+func scriptServer(t *testing.T, script func(c *scriptConn, opNum int, payload []byte) bool) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -49,21 +64,30 @@ func scriptServer(t *testing.T, script func(conn net.Conn, opNum int, payload []
 			}
 			go func() {
 				defer conn.Close()
+				c := &scriptConn{Conn: conn}
 				// Hello exchange: accept anything.
-				if _, err := ReadFrame(conn); err != nil {
+				h, _, err := ReadFrame(conn)
+				if err != nil {
 					return
 				}
-				if err := WriteFrame(conn, NewResp(OpHello, StatusOK).Bytes()); err != nil {
+				c.id = h.ID
+				if !c.reply(NewResp(OpHello, StatusOK).Bytes()) {
 					return
 				}
-				for opNum := 0; ; opNum++ {
-					payload, err := ReadFrame(conn)
+				for opNum := 0; ; {
+					h, payload, err := ReadFrame(conn)
 					if err != nil {
 						return
 					}
-					if !script(conn, opNum, payload) {
+					if Op(payload[0]) == OpCancel {
+						c.cancels++
+						continue
+					}
+					c.id, c.budget = h.ID, h.Budget
+					if !script(c, opNum, payload) {
 						return
 					}
+					opNum++
 				}
 			}()
 		}
@@ -73,14 +97,13 @@ func scriptServer(t *testing.T, script func(conn net.Conn, opNum int, payload []
 
 // openOK answers OpOpenDB requests with a fixed handle so scripts can get
 // a client past OpenDB.
-func openOK(conn net.Conn, payload []byte) bool {
+func openOK(c *scriptConn, payload []byte) bool {
 	var replica nsf.ReplicaID
-	resp := NewResp(OpOpenDB, StatusOK).U32(7).Raw(replica[:]).Str("scripted")
-	return WriteFrame(conn, resp.Bytes()) == nil
+	return c.reply(NewResp(OpOpenDB, StatusOK).U32(7).Raw(replica[:]).Str("scripted").Bytes())
 }
 
 func TestClientTimeoutOnSilentServer(t *testing.T) {
-	addr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
+	addr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
 		// Swallow every op after hello: never respond, hold the conn.
 		time.Sleep(10 * time.Second)
 		return false
@@ -108,11 +131,11 @@ func TestClientTimeoutOnSilentServer(t *testing.T) {
 }
 
 func TestClientRejectsTruncatedResponse(t *testing.T) {
-	addr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
+	addr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
 		// Claim an 80-byte frame, deliver 10, die.
-		hdr := []byte{80, 0, 0, 0}
-		conn.Write(hdr)
-		conn.Write(make([]byte, 10))
+		hdr := make([]byte, headerLen, headerLen+10)
+		hdr[0] = 80
+		c.Write(append(hdr, make([]byte, 10)...))
 		return false
 	})
 	c, err := DialOptions(addr, "u", "s", noRetryOpts())
@@ -128,8 +151,10 @@ func TestClientRejectsTruncatedResponse(t *testing.T) {
 }
 
 func TestClientRejectsOversizedLengthPrefix(t *testing.T) {
-	addr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
-		conn.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // 4 GiB frame claim
+	addr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
+		hdr := make([]byte, headerLen)
+		copy(hdr, []byte{0xFF, 0xFF, 0xFF, 0xFF}) // 4 GiB frame claim
+		c.Write(hdr)
 		return false
 	})
 	c, err := DialOptions(addr, "u", "s", noRetryOpts())
@@ -152,8 +177,8 @@ func TestClientRejectsGarbageAndWrongOp(t *testing.T) {
 	}
 	for name, resp := range cases {
 		t.Run(name, func(t *testing.T) {
-			addr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
-				return WriteFrame(conn, resp) == nil
+			addr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
+				return c.reply(resp)
 			})
 			c, err := DialOptions(addr, "u", "s", noRetryOpts())
 			if err != nil {
@@ -171,16 +196,16 @@ func TestClientRetriesThroughSeveredConnections(t *testing.T) {
 	// The server kills the connection on the first two data requests, then
 	// behaves. With retries enabled the caller never notices.
 	var kills atomic.Int32
-	addr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
+	addr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
 		if kills.Load() < 2 && Op(payload[0]) == OpDeleteNote {
 			kills.Add(1)
 			return false // sever instead of answering
 		}
 		switch Op(payload[0]) {
 		case OpOpenDB:
-			return openOK(conn, payload)
+			return openOK(c, payload)
 		case OpDeleteNote:
-			return WriteFrame(conn, NewResp(OpDeleteNote, StatusOK).Bytes()) == nil
+			return c.reply(NewResp(OpDeleteNote, StatusOK).Bytes())
 		}
 		return false
 	})
@@ -206,10 +231,10 @@ func TestClientDoesNotResendNonIdempotentOps(t *testing.T) {
 	// have executed it. The script counts create attempts and always
 	// severs, so a retrying client would show attempts > 1.
 	var creates atomic.Int32
-	addr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
+	addr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
 		switch Op(payload[0]) {
 		case OpOpenDB:
-			return openOK(conn, payload)
+			return openOK(c, payload)
 		case OpCreateNote:
 			creates.Add(1)
 			return false
@@ -239,17 +264,17 @@ func TestClientReconnectReopensHandles(t *testing.T) {
 	// preceded by a fresh hello + OpOpenDB on the new connection.
 	var opens atomic.Int32
 	severed := atomic.Bool{}
-	addr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
+	addr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
 		switch Op(payload[0]) {
 		case OpOpenDB:
 			opens.Add(1)
-			return openOK(conn, payload)
+			return openOK(c, payload)
 		case OpDeleteNote:
 			if !severed.Load() {
 				severed.Store(true)
 				return false
 			}
-			return WriteFrame(conn, NewResp(OpDeleteNote, StatusOK).Bytes()) == nil
+			return c.reply(NewResp(OpDeleteNote, StatusOK).Bytes())
 		}
 		return false
 	})
@@ -272,10 +297,10 @@ func TestClientReconnectReopensHandles(t *testing.T) {
 
 func TestServerErrorsAreNotRetried(t *testing.T) {
 	var attempts atomic.Int32
-	addr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
+	addr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
 		attempts.Add(1)
 		resp := NewResp(Op(payload[0]), StatusError).Str("no such database")
-		return WriteFrame(conn, resp.Bytes()) == nil
+		return c.reply(resp.Bytes())
 	})
 	c, err := DialOptions(addr, "u", "s", fastOpts())
 	if err != nil {
@@ -296,8 +321,8 @@ func TestServerErrorsAreNotRetried(t *testing.T) {
 }
 
 func TestClosedClientFailsFast(t *testing.T) {
-	addr := scriptServer(t, func(conn net.Conn, opNum int, payload []byte) bool {
-		return openOK(conn, payload)
+	addr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
+		return openOK(c, payload)
 	})
 	c, err := DialOptions(addr, "u", "s", fastOpts())
 	if err != nil {

@@ -9,73 +9,80 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
-// MaxFrame bounds a single protocol frame (64 MiB).
+// MaxFrame bounds a single protocol frame's payload (64 MiB).
 const MaxFrame = 64 << 20
 
-// WriteFrame writes one length-prefixed frame.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// ProtocolVersion is negotiated in the hello exchange. Version 2 replaced
+// the one-shot view/search reads with paginated bulk ops (and added OpScan);
+// version 3 dropped the mesh link debounce and added ship counters to the
+// mesh admin encodings; version 4 gave every frame the request-ID and
+// budget header and made the session multiplexed. Each change altered
+// encodings in place, so other versions are refused outright rather than
+// silently misparsed.
+const ProtocolVersion = 4
+
+// Header is the fixed part of every frame. On the wire a frame is
+//
+//	[u32 payload-len][u32 request-id][u32 budget-ms][payload]
+//
+// all little-endian. A response echoes its request's ID, which is how one
+// connection carries many requests at once and answers them in any order.
+// Budget is the caller's remaining deadline in milliseconds at send time (0:
+// none); the server turns it into the request's context deadline. Responses
+// carry no budget.
+type Header struct {
+	ID     uint32
+	Budget uint32
 }
 
-// ReadFrame reads one length-prefixed frame.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+// headerLen is the encoded size of the length prefix plus Header.
+const headerLen = 12
+
+// putHeader encodes the frame header for an n-byte payload into hdr.
+func putHeader(hdr []byte, n int, h Header) error {
 	if n > MaxFrame {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
+		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[4:8], h.ID)
+	binary.LittleEndian.PutUint32(hdr[8:12], h.Budget)
+	return nil
 }
 
-// WriteBudgetFrame writes payload wrapped in an OpBudget envelope: one
-// frame whose body is [OpBudget][u32 budget-ms][payload]. The envelope is
-// prepended in the frame header write, so the inner request encoder is
-// not copied or modified.
-func WriteBudgetFrame(w io.Writer, budgetMs uint32, payload []byte) error {
-	total := len(payload) + 5
-	if total > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", total)
-	}
-	var hdr [9]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(total))
-	hdr[4] = byte(OpBudget)
-	binary.LittleEndian.PutUint32(hdr[5:9], budgetMs)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
+// frameChunk caps the first allocation for a frame body. Bigger frames grow
+// the buffer only as their bytes actually arrive, so a header that declares
+// a huge frame and then stops costs at most this much, not the declared
+// length.
+const frameChunk = 512 << 10
 
-// SplitBudget strips an OpBudget envelope from a request payload,
-// returning the carried budget (milliseconds) and the inner request.
-// Payloads that do not start with OpBudget pass through with budget 0.
-func SplitBudget(payload []byte) (budgetMs uint32, inner []byte, err error) {
-	if len(payload) == 0 || Op(payload[0]) != OpBudget {
-		return 0, payload, nil
+// ReadFrame reads one frame.
+func ReadFrame(r io.Reader) (Header, []byte, error) {
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return Header{}, nil, err
 	}
-	if len(payload) < 6 {
-		return 0, nil, fmt.Errorf("wire: short budget envelope (%d bytes)", len(payload))
+	n := int(binary.LittleEndian.Uint32(hdr[0:4]))
+	if n > MaxFrame {
+		return Header{}, nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	return binary.LittleEndian.Uint32(payload[1:5]), payload[5:], nil
+	h := Header{ID: binary.LittleEndian.Uint32(hdr[4:8]), Budget: binary.LittleEndian.Uint32(hdr[8:12])}
+	buf := make([]byte, 0, min(n, frameChunk))
+	for len(buf) < n {
+		// Each step at most doubles what has arrived so far.
+		step := min(n-len(buf), max(len(buf), frameChunk))
+		buf = slices.Grow(buf, step)
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+step]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return Header{}, nil, err
+		}
+		buf = buf[:len(buf)+step]
+	}
+	return h, buf, nil
 }
 
 // Op codes. A response echoes the request op with the high bit set.
@@ -133,20 +140,11 @@ const (
 	// stopped instead of restarting. Page size is admission-aware: a loaded
 	// server serves smaller pages.
 	OpScan
-	// OpBudget is not a standalone operation but a request envelope: a
-	// client with a deadline wraps any request as
-	//
-	//	[OpBudget][u32 budget-ms][inner op][inner body...]
-	//
-	// where budget-ms is the caller's REMAINING time budget in
-	// milliseconds at send time. The client shrinks it across retries and
-	// failover hops (the deadline is absolute client-side), so a 2s user
-	// budget can never silently stretch to 2s x mates x retries. The
-	// server strips the envelope, derives a per-op context deadline from
-	// it, and answers with the INNER op echoed — the envelope is invisible
-	// in responses. A request whose budget cannot survive the admission
-	// queue, or that expires mid-execution, earns StatusDeadlineExceeded.
-	OpBudget
+	// OpCancel withdraws an in-flight request: its header carries the ID
+	// of the request to cancel and its payload is the op byte alone. The
+	// server cancels that request's context and sends no response; a
+	// cancel for a request already answered is ignored.
+	OpCancel
 )
 
 // respBit marks response frames.
@@ -167,8 +165,8 @@ const (
 	// encoding as OpResolve) so the client can re-route without an extra
 	// round trip.
 	StatusWrongMate
-	// StatusDeadlineExceeded: the request's carried budget (OpBudget
-	// envelope) ran out server-side. The one-byte body says at which
+	// StatusDeadlineExceeded: the request's carried budget (the frame
+	// header's budget-ms) ran out server-side. The one-byte body says at which
 	// stage: DeadlineRefused means the server saw the budget could not
 	// survive the admission queue (or was already spent on arrival) and
 	// refused before executing anything — provably-never-ran, like a busy

@@ -1,11 +1,15 @@
 package wire
 
-import "repro/internal/mesh"
+import (
+	"context"
+
+	"repro/internal/mesh"
+)
 
 // MeshStatus lists the server's replication-mesh links with their live
 // scheduling and transfer counters.
 func (c *Client) MeshStatus() ([]mesh.LinkStatus, error) {
-	d, err := c.call(OpMeshStatus, true, func() (*Enc, error) {
+	d, err := c.call(context.Background(), OpMeshStatus, true, func() (*Enc, error) {
 		return NewEnc(OpMeshStatus), nil
 	})
 	if err != nil {
@@ -23,7 +27,7 @@ func (c *Client) MeshStatus() ([]mesh.LinkStatus, error) {
 // the link (including compiling its selection formula) before starting it.
 // Adding is idempotent-safe to retry: a duplicate name fails cleanly.
 func (c *Client) MeshAdd(l mesh.Link) error {
-	_, err := c.call(OpMeshAdd, false, func() (*Enc, error) {
+	_, err := c.call(context.Background(), OpMeshAdd, false, func() (*Enc, error) {
 		return NewEnc(OpMeshAdd).MeshLink(l), nil
 	})
 	return err
@@ -31,7 +35,7 @@ func (c *Client) MeshAdd(l mesh.Link) error {
 
 // MeshRemove removes a replication-mesh link by name.
 func (c *Client) MeshRemove(name string) error {
-	_, err := c.call(OpMeshRemove, false, func() (*Enc, error) {
+	_, err := c.call(context.Background(), OpMeshRemove, false, func() (*Enc, error) {
 		return NewEnc(OpMeshRemove).Str(name), nil
 	})
 	return err

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"net"
 	"time"
 )
@@ -58,10 +59,29 @@ func decWrongMate(op Op, d *Dec) *WrongMateError {
 // Resolve asks the server where path lives. Resolution reads directory
 // metadata only, so it retries safely.
 func (c *Client) Resolve(path string) (ResolveInfo, error) {
-	d, err := c.roundTrip(OpResolve, NewEnc(OpResolve).Str(path))
+	return c.resolve(context.Background(), path)
+}
+
+func (c *Client) resolve(ctx context.Context, path string) (ResolveInfo, error) {
+	d, err := c.call(ctx, OpResolve, true, func() (*Enc, error) { return NewEnc(OpResolve).Str(path), nil })
 	if err != nil {
 		return ResolveInfo{}, err
 	}
+	return decOneRecord(d)
+}
+
+// Placements lists every placement record the server knows.
+func (c *Client) Placements() ([]ResolveInfo, error) {
+	d, err := c.call(context.Background(), OpResolve, true, func() (*Enc, error) { return NewEnc(OpResolve).Str(""), nil })
+	if err != nil {
+		return nil, err
+	}
+	return decRecords(d)
+}
+
+// decOneRecord parses an OpResolve response that must hold exactly one
+// record.
+func decOneRecord(d *Dec) (ResolveInfo, error) {
 	if n := int(d.U32()); n != 1 {
 		if err := d.Err(); err != nil {
 			return ResolveInfo{}, err
@@ -71,15 +91,13 @@ func (c *Client) Resolve(path string) (ResolveInfo, error) {
 	return decResolveRecord(d)
 }
 
-// Placements lists every placement record the server knows.
-func (c *Client) Placements() ([]ResolveInfo, error) {
-	d, err := c.roundTrip(OpResolve, NewEnc(OpResolve).Str(""))
-	if err != nil {
-		return nil, err
-	}
-	count := int(d.U32())
-	out := make([]ResolveInfo, 0, count)
-	for i := 0; i < count && d.Err() == nil; i++ {
+// decRecords parses an OpResolve listing.
+func decRecords(d *Dec) ([]ResolveInfo, error) {
+	count := d.U32()
+	// A record encodes to at least 17 bytes; clamp the preallocation so a
+	// corrupt count cannot demand gigabytes up front.
+	out := make([]ResolveInfo, 0, d.Cap(count, 17))
+	for i := uint32(0); i < count && d.Err() == nil; i++ {
 		info, err := decResolveRecord(d)
 		if err != nil {
 			return nil, err
@@ -87,39 +105,6 @@ func (c *Client) Placements() ([]ResolveInfo, error) {
 		out = append(out, info)
 	}
 	return out, d.Err()
-}
-
-// resolveProbe performs one unauthenticated OpResolve exchange and returns
-// the raw response decoder positioned at the record count.
-func resolveProbe(addr, path string, dialer func(network, addr string) (net.Conn, error), timeout time.Duration) (*Dec, error) {
-	if timeout <= 0 {
-		timeout = DefaultProbeTimeout
-	}
-	if dialer == nil {
-		dialer = func(network, addr string) (net.Conn, error) {
-			return net.DialTimeout(network, addr, timeout)
-		}
-	}
-	conn, err := dialer("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	if err := WriteFrame(conn, NewEnc(OpResolve).Str(path).Bytes()); err != nil {
-		return nil, err
-	}
-	payload, err := ReadFrame(conn)
-	if err != nil {
-		return nil, err
-	}
-	if len(payload) < 2 || payload[0] != byte(OpResolve)|respBit {
-		return nil, protoErrorf("bad resolve probe response")
-	}
-	if payload[1] != StatusOK {
-		return nil, &ServerError{Op: OpResolve, Msg: "resolve probe refused"}
-	}
-	return NewDec(payload[2:]), nil
 }
 
 // ResolvePlacement performs a one-shot, unauthenticated placement resolve
@@ -127,34 +112,19 @@ func resolveProbe(addr, path string, dialer func(network, addr string) (net.Conn
 // use it to locate a database before (or instead of) opening a session, and
 // operator tooling uses it to inspect routing without credentials.
 func ResolvePlacement(addr, path string, dialer func(network, addr string) (net.Conn, error), timeout time.Duration) (ResolveInfo, error) {
-	d, err := resolveProbe(addr, path, dialer, timeout)
+	d, err := probe(addr, dialer, timeout, OpResolve, NewEnc(OpResolve).Str(path))
 	if err != nil {
 		return ResolveInfo{}, err
 	}
-	if n := int(d.U32()); n != 1 {
-		if err := d.Err(); err != nil {
-			return ResolveInfo{}, err
-		}
-		return ResolveInfo{}, protoErrorf("resolve returned %d records for one path", n)
-	}
-	return decResolveRecord(d)
+	return decOneRecord(d)
 }
 
 // ListPlacements performs a one-shot, unauthenticated listing of every
 // placement record addr knows.
 func ListPlacements(addr string, dialer func(network, addr string) (net.Conn, error), timeout time.Duration) ([]ResolveInfo, error) {
-	d, err := resolveProbe(addr, "", dialer, timeout)
+	d, err := probe(addr, dialer, timeout, OpResolve, NewEnc(OpResolve).Str(""))
 	if err != nil {
 		return nil, err
 	}
-	count := int(d.U32())
-	out := make([]ResolveInfo, 0, count)
-	for i := 0; i < count && d.Err() == nil; i++ {
-		info, err := decResolveRecord(d)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, info)
-	}
-	return out, d.Err()
+	return decRecords(d)
 }

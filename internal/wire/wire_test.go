@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -18,15 +20,18 @@ func TestFrameRoundTrip(t *testing.T) {
 		{1},
 		bytes.Repeat([]byte("x"), 100000),
 	}
-	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
+	for i, p := range payloads {
+		if err := writeFrame(&buf, Header{ID: uint32(i), Budget: 9}, p); err != nil {
 			t.Fatalf("WriteFrame(%d bytes): %v", len(p), err)
 		}
 	}
-	for _, want := range payloads {
-		got, err := ReadFrame(&buf)
+	for i, want := range payloads {
+		h, got, err := ReadFrame(&buf)
 		if err != nil {
 			t.Fatalf("ReadFrame: %v", err)
+		}
+		if h.ID != uint32(i) || h.Budget != 9 {
+			t.Fatalf("header = %+v, want ID %d budget 9", h, i)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("frame mismatch: %d vs %d bytes", len(got), len(want))
@@ -36,26 +41,47 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameRejectsOversize(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, make([]byte, MaxFrame+1)); err == nil {
+	if err := writeFrame(&buf, Header{}, make([]byte, MaxFrame+1)); err == nil {
 		t.Error("oversized write accepted")
 	}
 	// A hostile header claiming an enormous frame must be rejected before
 	// allocation.
-	hostile := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := ReadFrame(bytes.NewReader(hostile)); err == nil {
+	hostile := make([]byte, headerLen)
+	copy(hostile, []byte{0xFF, 0xFF, 0xFF, 0xFF})
+	if _, _, err := ReadFrame(bytes.NewReader(hostile)); err == nil {
 		t.Error("hostile frame header accepted")
 	}
 }
 
 func TestFrameTruncatedBody(t *testing.T) {
 	var buf bytes.Buffer
-	WriteFrame(&buf, []byte("hello world"))
-	raw := buf.Bytes()[:8] // header + partial body
-	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
+	writeFrame(&buf, Header{ID: 1}, []byte("hello world"))
+	raw := buf.Bytes()[:headerLen+4] // header + partial body
+	if _, _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
 		t.Error("truncated frame accepted")
 	}
-	if _, err := ReadFrame(bytes.NewReader(nil)); err != io.EOF {
+	if _, _, err := ReadFrame(bytes.NewReader(nil)); err != io.EOF {
 		t.Errorf("empty stream error = %v, want EOF", io.EOF)
+	}
+}
+
+// TestFrameAllocationBoundedByArrivedBytes: a header that declares MaxFrame
+// and then delivers 10 bytes must fail having allocated about what arrived,
+// not the 64 MiB it claimed. The server reads frames from unauthenticated
+// connections, so the declared length must not be trusted for sizing.
+func TestFrameAllocationBoundedByArrivedBytes(t *testing.T) {
+	raw := make([]byte, headerLen, headerLen+10)
+	binary.LittleEndian.PutUint32(raw, MaxFrame)
+	raw = append(raw, make([]byte, 10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated MaxFrame frame accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("ReadFrame allocated %d bytes for a 10-byte body", grew)
 	}
 }
 
