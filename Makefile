@@ -28,10 +28,12 @@ race:
 # mid-session), the mesh ship path (direct ships, ships to databases
 # opened late, drops that kick catch-up rounds), and the multiplexed wire
 # session (out-of-order responses, in-band cancel, concurrent batch puts on
-# one client, hedge losers withdrawn without a redial).
+# one client, hedge losers withdrawn without a redial), the unlocked
+# failover client (ops beside a parked op, four writers sharing one client
+# through a mate kill), and the mesh-over-wire round accounting.
 stress:
 	$(GO) test -race -count=2 \
-		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestHotLinkFiresOnWrite|TestHotLinkShipsDatabaseOpenedAfterAdd|TestSelectiveHotLinkShipsStubs|TestShipFailureKicksCatchUpRound|TestClusterPushReplication|TestClusterDatabaseOpenedAfterEnable|TestClusterDropSignalsCatchUp|TestMuxOutOfOrderResponses|TestCancelReachesRunningHandler|TestConcurrentPutBatchOneClient|TestCancelWithdrawsRequestInBand|TestHedgedReadWinsOverSlowMate' \
+		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestHotLinkFiresOnWrite|TestHotLinkShipsDatabaseOpenedAfterAdd|TestSelectiveHotLinkShipsStubs|TestShipFailureKicksCatchUpRound|TestClusterPushReplication|TestClusterDatabaseOpenedAfterEnable|TestClusterDropSignalsCatchUp|TestMuxOutOfOrderResponses|TestCancelReachesRunningHandler|TestConcurrentPutBatchOneClient|TestCancelWithdrawsRequestInBand|TestHedgedReadWinsOverSlowMate|TestFailoverOpsDoNotWaitBehindParkedOp|TestMeshOverWire' \
 		./internal/core ./internal/repl ./internal/store ./internal/server ./internal/place ./internal/dir ./internal/mesh ./internal/wire
 
 # Short native-fuzz smoke over the three parsers that guard trust boundaries:

@@ -38,7 +38,7 @@ type w6Result struct {
 	LostAcked      int     `json:"lost_acked"`
 	MoveMs         float64 `json:"move_ms,omitempty"`
 	MovedNotes     int     `json:"moved_notes,omitempty"`
-	CatchupRounds  int     `json:"catchup_rounds,omitempty"`
+	Rounds         int     `json:"catchup_rounds,omitempty"`
 	Generation     uint64  `json:"generation,omitempty"`
 	Redirects      uint64  `json:"redirects,omitempty"`
 	RehomeMedianMs float64 `json:"rehome_median_ms,omitempty"`
@@ -132,14 +132,14 @@ func w6LiveMove(docs int) w6Result {
 
 	newHome, _ := c.srv["beta"].DB(path)
 	return w6Result{
-		Phase:         "live-move",
-		Acked:         len(acked),
-		LostAcked:     lostAcked(acked, newHome),
-		MoveMs:        float64(res.Elapsed.Nanoseconds()) / 1e6,
-		MovedNotes:    res.Moved,
-		CatchupRounds: res.Rounds,
-		Generation:    res.Generation,
-		Redirects:     fc.Stats().WrongMateRedirects,
+		Phase:      "live-move",
+		Acked:      len(acked),
+		LostAcked:  lostAcked(acked, newHome),
+		MoveMs:     float64(res.Elapsed.Nanoseconds()) / 1e6,
+		MovedNotes: res.Moved,
+		Rounds:     res.Rounds,
+		Generation: res.Generation,
+		Redirects:  fc.Stats().WrongMateRedirects,
 	}
 }
 
@@ -285,7 +285,7 @@ func runW6(quick bool) {
 	results = append(results, mv)
 	ta := newTable("acked", "lost acked", "move ms", "notes moved", "rounds", "gen", "redirects")
 	ta.add(mv.Acked, mv.LostAcked, fmt.Sprintf("%.1f", mv.MoveMs), mv.MovedNotes,
-		mv.CatchupRounds, fmt.Sprint(mv.Generation), fmt.Sprint(mv.Redirects))
+		mv.Rounds, fmt.Sprint(mv.Generation), fmt.Sprint(mv.Redirects))
 	fmt.Println("  Phase A: live move under a streaming writer")
 	ta.print()
 	if mv.LostAcked != 0 {

@@ -225,8 +225,10 @@ type (
 	// RemoteDB is a database opened over the wire; it implements Peer.
 	RemoteDB = wire.RemoteDB
 	// FailoverClient is a cluster-aware client: it holds a list of cluster
-	// mates, probes their availability, and transparently fails over —
-	// rebinding open handles — when the current mate dies or sheds work.
+	// mates with one multiplexed session each, probes their availability,
+	// and transparently fails over — open handles re-open lazily on the new
+	// mate — when the current mate dies or sheds work. Callers sharing one
+	// client run concurrently.
 	FailoverClient = wire.FailoverClient
 	// FailoverOptions tune mate selection, circuit breaking, and probing.
 	FailoverOptions = wire.FailoverOptions
@@ -291,7 +293,8 @@ func DialOptions(addr, user, secret string, opts ClientOptions) (*Client, error)
 
 // DialFailover connects to the first reachable cluster mate in addrs; the
 // returned client fails over to other mates on transport errors and busy
-// sheds, rebinding open database handles.
+// sheds, opening each database handle on a mate the first time an
+// operation lands there.
 func DialFailover(addrs []string, user, secret string, opts FailoverOptions) (*FailoverClient, error) {
 	return wire.DialFailover(addrs, user, secret, opts)
 }

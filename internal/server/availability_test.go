@@ -487,8 +487,18 @@ func (p *failoverPair) start(t *testing.T) {
 // dies in the middle of a client's write workload; the FailoverClient lands
 // on the survivor and finishes, and after catch-up replication from the dead
 // mate's surviving data directory, every acknowledged write exists on the
-// survivor — zero lost acked writes.
+// survivor — zero lost acked writes. It runs with one writer and with four
+// goroutines sharing the one client, whose creates are in flight together
+// when the mate dies.
 func TestFailoverKillMidNotesSession(t *testing.T) {
+	for _, writers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("writers=%d", writers), func(t *testing.T) {
+			testFailoverKillMidNotesSession(t, writers)
+		})
+	}
+}
+
+func testFailoverKillMidNotesSession(t *testing.T, writers int) {
 	const killAt, total = 15, 40
 	p := newFailoverPair(t)
 	var creates atomic.Int32
@@ -521,25 +531,41 @@ func TestFailoverKillMidNotesSession(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var mu sync.Mutex
 	var acked []nsf.UNID
-	for i := 0; i < total; i++ {
-		n := nsf.NewNote(nsf.ClassDocument)
-		n.SetText("Subject", fmt.Sprintf("doc %d", i))
-		if err := db.Create(n); err != nil {
-			// Ambiguous: the mate died mid-round-trip, so the create is not
-			// acknowledged. It only counts once a live mate confirms it —
-			// re-issue if the survivor lacks it.
-			if _, gerr := db.Get(n.OID.UNID); gerr != nil {
-				var se *wire.ServerError
-				if !errors.As(gerr, &se) {
-					t.Fatalf("recheck after ambiguous create: %v", gerr)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < total; i += writers {
+				n := nsf.NewNote(nsf.ClassDocument)
+				n.SetText("Subject", fmt.Sprintf("doc %d", i))
+				if err := db.Create(n); err != nil {
+					// Ambiguous: the mate died mid-round-trip, so the create
+					// is not acknowledged. It only counts once a live mate
+					// confirms it — re-issue if the survivor lacks it.
+					if _, gerr := db.Get(n.OID.UNID); gerr != nil {
+						var se *wire.ServerError
+						if !errors.As(gerr, &se) {
+							t.Errorf("recheck after ambiguous create: %v", gerr)
+							return
+						}
+						if cerr := db.Create(n); cerr != nil {
+							t.Errorf("re-issue on survivor: %v", cerr)
+							return
+						}
+					}
 				}
-				if cerr := db.Create(n); cerr != nil {
-					t.Fatalf("re-issue on survivor: %v", cerr)
-				}
+				mu.Lock()
+				acked = append(acked, n.OID.UNID)
+				mu.Unlock()
 			}
-		}
-		acked = append(acked, n.OID.UNID)
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
 	}
 	if cur, ok := fc.Current(); !ok || cur != p.spokeAddr {
 		t.Errorf("connected mate = %q, want survivor %q", cur, p.spokeAddr)

@@ -77,8 +77,15 @@ func TestMeshOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitMeshConverged(t, map[string]*core.Database{"hub": hubDB, "spoke": spokeDB})
-
+	// The audit can see the pulled spoke doc before the round that applied
+	// it has recorded itself: wait for a completed round with NotesIn.
 	sts := m.Status()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); sts = m.Status() {
+		if len(sts) != 1 || (sts[0].Rounds > 0 && sts[0].NotesIn > 0) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if len(sts) != 1 || sts[0].Rounds == 0 || sts[0].Failures != 0 {
 		t.Errorf("status = %+v", sts)
 	}

@@ -128,14 +128,7 @@ func Dial(addr, user, secret string) (*Client, error) {
 // initial dial itself is retried like any idempotent operation, so a
 // server momentarily restarting does not fail the caller.
 func DialOptions(addr, user, secret string, opts Options) (*Client, error) {
-	c := &Client{
-		opts:   opts.withDefaults(),
-		addr:   addr,
-		user:   user,
-		secret: secret,
-		dbs:    make(map[*dbHandle]struct{}),
-		putKey: nsf.NewUNID().String(),
-	}
+	c := newClient(addr, user, secret, opts)
 	ctx := context.Background()
 	for attempt := 0; ; attempt++ {
 		_, err := c.session(ctx)
@@ -146,6 +139,19 @@ func DialOptions(addr, user, secret string, opts Options) (*Client, error) {
 			return nil, err
 		}
 		c.backoff(ctx, attempt)
+	}
+}
+
+// newClient builds a client that has not dialed yet: its first operation
+// dials, like a reconnect.
+func newClient(addr, user, secret string, opts Options) *Client {
+	return &Client{
+		opts:   opts.withDefaults(),
+		addr:   addr,
+		user:   user,
+		secret: secret,
+		dbs:    make(map[*dbHandle]struct{}),
+		putKey: nsf.NewUNID().String(),
 	}
 }
 

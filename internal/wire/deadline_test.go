@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -152,10 +153,14 @@ func TestBudgetShrinksAcrossFailover(t *testing.T) {
 // slow mate is raced against a second mate after the hedge delay; the fast
 // response wins, the slow primary is withdrawn in-band, and the caller sees
 // fast-mate latency instead of slow-mate latency. Withdrawing the loser
-// keeps its connection: no mate is redialed after the hedge wins.
+// keeps its connection: no mate is redialed after the hedge wins. The
+// hedge ran on the fast mate's own session, so when the slow mate then
+// dies, failing over to the fast mate dials nothing new either.
 func TestHedgedReadWinsOverSlowMate(t *testing.T) {
 	note := nsf.NewNote(nsf.ClassDocument)
+	var slowConns sync.Map // server side of each slow-mate connection
 	slowAddr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
+		slowConns.Store(c.Conn, true)
 		if Op(payload[0]) == OpOpenDB {
 			return openOK(c, payload)
 		}
@@ -163,15 +168,25 @@ func TestHedgedReadWinsOverSlowMate(t *testing.T) {
 		return c.reply(NewResp(OpGetNote, StatusOK).Note(note).Bytes())
 	})
 	fastAddr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
-		if Op(payload[0]) == OpOpenDB {
+		switch Op(payload[0]) {
+		case OpOpenDB:
 			return openOK(c, payload)
+		case OpDBInfo:
+			return c.reply(NewResp(OpDBInfo, StatusOK).Str("fast").U32(0).U32(0).U32(0).Bytes())
 		}
 		return c.reply(NewResp(OpGetNote, StatusOK).Note(note).Bytes())
 	})
-	var dials atomic.Int32
+	var dials, fastDials atomic.Int32
+	var slowDown atomic.Bool
 	opts := failoverTestOpts()
 	opts.Client.Dialer = func(network, addr string) (net.Conn, error) {
+		if addr == slowAddr && slowDown.Load() {
+			return nil, errors.New("slow mate is down")
+		}
 		dials.Add(1)
+		if addr == fastAddr {
+			fastDials.Add(1)
+		}
 		return net.Dial(network, addr)
 	}
 	opts.Client.OpBudget = 2 * time.Second
@@ -203,13 +218,29 @@ func TestHedgedReadWinsOverSlowMate(t *testing.T) {
 	// sessions.
 	after := dials.Load()
 	if after != setupDials+1 {
-		t.Errorf("%d dials for one hedged read, want 1 (the hedge session)", after-setupDials)
+		t.Errorf("%d dials for one hedged read, want 1 (the fast mate's session)", after-setupDials)
 	}
 	if _, err := db.Get(note.OID.UNID); err != nil {
 		t.Fatalf("second hedged get: %v", err)
 	}
 	if got := dials.Load(); got != after {
 		t.Errorf("%d redials after the hedge won, want none", got-after)
+	}
+	// The slow mate dies. The next operation fails over to the fast mate
+	// and runs on the session the hedge built there.
+	slowDown.Store(true)
+	slowConns.Range(func(c, _ any) bool {
+		c.(net.Conn).Close()
+		return true
+	})
+	if _, err := db.Info(); err != nil {
+		t.Fatalf("info after the slow mate died: %v", err)
+	}
+	if cur, _ := fc.Current(); cur != fastAddr {
+		t.Errorf("current mate = %s, want the fast mate %s", cur, fastAddr)
+	}
+	if got := fastDials.Load(); got != 1 {
+		t.Errorf("%d dials to the fast mate, want 1: failover must reuse the hedge's session", got)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ft"
@@ -15,13 +14,14 @@ import (
 	"repro/internal/retry"
 )
 
-// FailoverClient is the cluster-aware client: it wraps the retry/redial
-// Client with a list of cluster-mate addresses, per-mate circuit breakers,
-// availability probes, and availability-weighted mate selection. When the
+// FailoverClient is the cluster-aware client: it spreads one logical
+// session over a list of cluster-mate addresses, with per-mate circuit
+// breakers, availability probes, and availability-weighted mate selection.
+// Each mate has its own multiplexed Client, dialed on first use, and the
+// database handles opened on it, each opened on first use there. When the
 // current mate dies or sheds with a busy response, operations transparently
-// land on a surviving mate, and every open FailoverDB handle is re-opened
-// there — the same rebind discipline the PR-1 reconnect path applies
-// across a redial, lifted one level up to span servers.
+// land on a surviving mate and its handles, so open FailoverDB handles
+// follow the session across servers.
 //
 // Semantics mirror Client's: idempotent operations (and shed requests,
 // which provably never executed) retry across mates; a non-idempotent
@@ -105,11 +105,14 @@ const (
 	breakerOpen          // failing; only a half-open probe after cooldown may test it
 )
 
-// mate is one cluster member's address plus health bookkeeping. All fields
-// are guarded by FailoverClient.mu.
+// mate is one cluster member: its address, its session, and health
+// bookkeeping. c is set at creation and never changes; every other field is
+// guarded by FailoverClient.mu.
 type mate struct {
 	addr     string
-	name     string // cluster-mate name, learned from placement records
+	name     string               // cluster-mate name, learned from placement records
+	c        *Client              // dials on first use and redials after a transport fault
+	dbs      map[string]*RemoteDB // handles opened on c, by path
 	state    int
 	fails    int
 	openedAt time.Time
@@ -129,6 +132,28 @@ func (m *mate) effectiveAvail() int {
 		return 100
 	}
 	return m.avail
+}
+
+// placement is the cached placement of one database path: the
+// generation-stamped home set from the last resolve or redirect. No homes
+// means unplaced: any mate serves it.
+type placement struct {
+	gen   uint64
+	homes []HomeAddr
+}
+
+// has reports whether m is in the home set, matched by address or learned
+// mate name.
+func (p placement) has(m *mate) bool {
+	for _, h := range p.homes {
+		if h.Addr != "" && h.Addr == m.addr {
+			return true
+		}
+		if h.Name != "" && m.name != "" && h.Name == m.name {
+			return true
+		}
+	}
+	return false
 }
 
 // FailoverStats counts failover activity.
@@ -152,9 +177,10 @@ type FailoverStats struct {
 }
 
 // FailoverClient holds a session that survives the death of individual
-// cluster mates. One FailoverClient supports concurrent callers, but its
-// operations run one at a time under the client lock (a hedge runs beside
-// the primary it races).
+// cluster mates. Any number of goroutines may share one FailoverClient: its
+// lock guards only bookkeeping and is never held across a dial, probe, open
+// or round trip, so callers run side by side on the mates' multiplexed
+// sessions.
 type FailoverClient struct {
 	opts   FailoverOptions
 	user   string
@@ -162,34 +188,16 @@ type FailoverClient struct {
 
 	mu     sync.Mutex
 	mates  []*mate
-	cur    int // index of the connected mate; -1 when disconnected
-	client *Client
-	dbs    map[*FailoverDB]struct{}
+	cur    *mate // the mate operations run on; nil until one is attached
+	places map[string]placement
 	closed bool
 	stats  FailoverStats
-	// routeHint, while an operation on a specific database is in flight,
-	// biases connection attempts toward that database's home mates.
-	routeHint *FailoverDB
-
-	// Hedge state lives under its OWN lock: a primary read holds fc.mu for
-	// its whole round trip, so the hedge path must never touch fc.mu or it
-	// would deadlock behind the very stall it exists to escape.
-	hmu sync.Mutex
-	// hClient/hAddr/hDBs cache the hedge-side session and handles so a
-	// hedge is one round trip, not dial+auth+open+read.
-	hClient *Client
-	hAddr   string
-	hDBs    map[string]*RemoteDB
 	// hTokens is the hedge-rate token bucket (see HedgeRateCap).
 	hTokens float64
 	// latEwmaUs/latDevUs track read latency (EWMA and mean deviation,
 	// microseconds) to derive the adaptive hedge delay.
 	latEwmaUs int64
 	latDevUs  int64
-	// hedges/hedgeWins are atomic (not under fc.mu) because the hedge path
-	// records them while a primary holds fc.mu.
-	hedges    atomic.Uint64
-	hedgeWins atomic.Uint64
 }
 
 // DialFailover connects to the best available mate and authenticates.
@@ -203,30 +211,34 @@ func DialFailover(addrs []string, user, secret string, opts FailoverOptions) (*F
 		opts:   opts.withDefaults(len(addrs)),
 		user:   user,
 		secret: secret,
-		cur:    -1,
-		dbs:    make(map[*FailoverDB]struct{}),
-		hDBs:   make(map[string]*RemoteDB),
+		places: make(map[string]placement),
 	}
 	for _, a := range addrs {
-		fc.mates = append(fc.mates, &mate{addr: a, avail: -1})
+		fc.mates = append(fc.mates, fc.newMate(a, ""))
 	}
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	if err := fc.connectLocked(); err != nil {
+	if _, err := fc.attach(context.Background(), nil); err != nil {
+		fc.Close()
 		return nil, err
 	}
 	return fc, nil
 }
 
-// Close terminates the current connection (and any cached hedge session).
+// newMate makes a mate whose session is dialed on first use.
+func (fc *FailoverClient) newMate(addr, name string) *mate {
+	return &mate{addr: addr, name: name, avail: -1, dbs: make(map[string]*RemoteDB),
+		c: newClient(addr, fc.user, fc.secret, fc.opts.Client)}
+}
+
+// Close terminates every mate's session; operations in flight fail.
 func (fc *FailoverClient) Close() error {
-	fc.hmu.Lock()
-	fc.dropHedgeLocked(fc.hClient)
-	fc.hmu.Unlock()
 	fc.mu.Lock()
-	defer fc.mu.Unlock()
 	fc.closed = true
-	return fc.abandonLocked()
+	mates := slices.Clone(fc.mates)
+	fc.mu.Unlock()
+	for _, m := range mates {
+		m.c.Close()
+	}
+	return nil
 }
 
 // User returns the authenticated user name.
@@ -236,44 +248,43 @@ func (fc *FailoverClient) User() string { return fc.user }
 func (fc *FailoverClient) Current() (string, bool) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	if fc.cur < 0 {
+	if fc.cur == nil {
 		return "", false
 	}
-	return fc.mates[fc.cur].addr, true
+	return fc.cur.addr, true
 }
 
 // Stats returns a snapshot of failover activity.
 func (fc *FailoverClient) Stats() FailoverStats {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	st := fc.stats
-	st.Hedges = fc.hedges.Load()
-	st.HedgeWins = fc.hedgeWins.Load()
-	return st
+	return fc.stats
 }
 
 // ProbeAll probes every mate's availability, updating the selection state,
 // and returns the results keyed by address (failed probes are omitted).
 func (fc *FailoverClient) ProbeAll() map[string]AvailabilityInfo {
 	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	out := make(map[string]AvailabilityInfo, len(fc.mates))
-	for i := range fc.mates {
-		if info, err := fc.probeLocked(i); err == nil {
-			out[fc.mates[i].addr] = info
+	mates := slices.Clone(fc.mates)
+	fc.mu.Unlock()
+	out := make(map[string]AvailabilityInfo, len(mates))
+	for _, m := range mates {
+		if info, err := fc.probe(m); err == nil {
+			out[m.addr] = info
 		}
 	}
 	return out
 }
 
-// probeLocked sends one availability probe to mate i and folds the answer
-// into its health state. A failed probe counts as a breaker failure.
-func (fc *FailoverClient) probeLocked(i int) (AvailabilityInfo, error) {
-	m := fc.mates[i]
-	fc.stats.Probes++
+// probe sends one availability probe to m and folds the answer into its
+// health state. A failed probe counts as a breaker failure.
+func (fc *FailoverClient) probe(m *mate) (AvailabilityInfo, error) {
 	info, err := ProbeAvailability(m.addr, fc.opts.Client.Dialer, fc.opts.ProbeTimeout)
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	fc.stats.Probes++
 	if err != nil {
-		fc.markFailLocked(i)
+		fc.markFailLocked(m)
 		return AvailabilityInfo{}, err
 	}
 	m.avail = info.Index
@@ -281,10 +292,9 @@ func (fc *FailoverClient) probeLocked(i int) (AvailabilityInfo, error) {
 	return info, nil
 }
 
-// markFailLocked records a transport failure against mate i; enough
-// consecutive failures open its breaker.
-func (fc *FailoverClient) markFailLocked(i int) {
-	m := fc.mates[i]
+// markFailLocked records a transport failure against m; enough consecutive
+// failures open its breaker.
+func (fc *FailoverClient) markFailLocked(m *mate) {
 	m.fails++
 	if m.fails >= fc.opts.FailThreshold && m.state != breakerOpen {
 		m.state = breakerOpen
@@ -303,61 +313,55 @@ func (fc *FailoverClient) cooldownLocked(m *mate) time.Duration {
 	return retry.Exp(fc.opts.Cooldown, m.reopens-1, 8*fc.opts.Cooldown)
 }
 
-// abandonLocked drops the current connection (if any).
-func (fc *FailoverClient) abandonLocked() error {
-	var err error
-	if fc.client != nil {
-		err = fc.client.Close()
-		fc.client = nil
+// servesLocked reports whether m may serve db by its cached placement: a
+// nil db, an unresolved or an unplaced path is served anywhere.
+func (fc *FailoverClient) servesLocked(db *FailoverDB, m *mate) bool {
+	if db == nil {
+		return true
 	}
-	fc.cur = -1
-	for db := range fc.dbs {
-		db.r = nil
-	}
-	return err
+	p, ok := fc.places[db.path]
+	return !ok || len(p.homes) == 0 || p.has(m)
 }
 
 // candidatesLocked orders the mates for a connection attempt: healthy
 // (breaker closed, not restricted) mates first by availability index
 // descending, then — as a last resort, because serving degraded beats not
 // serving — open-breaker and restricted mates by availability. Open or
-// restricted mates are probed before a full dial, which is the half-open
-// breaker transition.
-func (fc *FailoverClient) candidatesLocked() []int {
-	var healthy, fallback []int
+// restricted mates are probed before use, which is the half-open breaker
+// transition. For a placed db, its home mates go first (stably, keeping the
+// availability order within each partition): a non-home mate can only earn
+// a redirect, but stays as fallback since it can still teach us fresher
+// placement.
+func (fc *FailoverClient) candidatesLocked(db *FailoverDB) []*mate {
+	var healthy, fallback []*mate
 	now := time.Now()
-	for i, m := range fc.mates {
+	for _, m := range fc.mates {
 		eligible := m.state == breakerClosed ||
 			(m.state == breakerOpen && now.Sub(m.openedAt) >= fc.cooldownLocked(m))
 		if eligible && !m.restricted {
-			healthy = append(healthy, i)
+			healthy = append(healthy, m)
 		} else {
-			fallback = append(fallback, i)
+			fallback = append(fallback, m)
 		}
 	}
-	byAvail := func(ix []int) {
-		// Insertion sort: mate lists are tiny, and stability keeps the
-		// configured preference order on ties.
-		for a := 1; a < len(ix); a++ {
-			for b := a; b > 0 && fc.mates[ix[b]].effectiveAvail() > fc.mates[ix[b-1]].effectiveAvail(); b-- {
-				ix[b], ix[b-1] = ix[b-1], ix[b]
-			}
-		}
+	byAvail := func(ms []*mate) {
+		// Stable: mate lists are tiny, and stability keeps the configured
+		// preference order on ties.
+		slices.SortStableFunc(ms, func(a, b *mate) int { return b.effectiveAvail() - a.effectiveAvail() })
 	}
 	byAvail(healthy)
 	byAvail(fallback)
 	order := append(healthy, fallback...)
-	// When the attempt is on behalf of a placed database, its home mates go
-	// first (stably, keeping the availability order within each partition):
-	// dialing a non-home mate can only earn a redirect. Non-home mates stay
-	// as fallback — they can still teach us fresher placement.
-	if hint := fc.routeHint; hint != nil && hint.resolved && len(hint.homes) > 0 {
-		var home, rest []int
-		for _, i := range order {
-			if hint.homesMate(fc.mates[i]) {
-				home = append(home, i)
+	if db == nil {
+		return order
+	}
+	if p := fc.places[db.path]; len(p.homes) > 0 {
+		var home, rest []*mate
+		for _, m := range order {
+			if p.has(m) {
+				home = append(home, m)
 			} else {
-				rest = append(rest, i)
+				rest = append(rest, m)
 			}
 		}
 		order = append(home, rest...)
@@ -365,173 +369,224 @@ func (fc *FailoverClient) candidatesLocked() []int {
 	return order
 }
 
-// homesMate reports whether m is in the database's cached home set, matched
-// by address or learned mate name.
-func (f *FailoverDB) homesMate(m *mate) bool {
-	for _, h := range f.homes {
-		if h.Addr != "" && h.Addr == m.addr {
-			return true
-		}
-		if h.Name != "" && m.name != "" && h.Name == m.name {
-			return true
-		}
-	}
-	return false
-}
-
 // noteRecordLocked folds a placement record (from an OpResolve or a
-// StatusWrongMate redirect) into the client: every matching database handle
-// with an older generation adopts it, and home addresses we have never seen
-// become new mates — a redirect can teach the client about cluster members
-// it was not configured with.
+// StatusWrongMate redirect) into the client: the path's cached placement
+// adopts it unless the cache holds a newer generation, and home addresses
+// we have never seen become new mates — a redirect can teach the client
+// about cluster members it was not configured with.
 func (fc *FailoverClient) noteRecordLocked(path string, gen uint64, homes []HomeAddr) {
-	for db := range fc.dbs {
-		if db.path != path {
-			continue
-		}
-		if db.resolved && gen < db.gen {
-			continue // stale record: keep the fresher cache
-		}
-		db.gen = gen
-		db.homes = append([]HomeAddr(nil), homes...)
-		db.resolved = true
+	if p, ok := fc.places[path]; !ok || gen >= p.gen {
+		fc.places[path] = placement{gen: gen, homes: slices.Clone(homes)}
 	}
 	for _, h := range homes {
 		if h.Addr == "" {
 			continue
 		}
-		known := false
-		for _, m := range fc.mates {
-			if m.addr == h.Addr {
-				if m.name == "" {
-					m.name = h.Name
-				}
-				known = true
-				break
-			}
-		}
-		if !known {
-			fc.mates = append(fc.mates, &mate{addr: h.Addr, name: h.Name, avail: -1})
+		i := slices.IndexFunc(fc.mates, func(m *mate) bool { return m.addr == h.Addr })
+		if i < 0 {
+			fc.mates = append(fc.mates, fc.newMate(h.Addr, h.Name))
+		} else if fc.mates[i].name == "" {
+			fc.mates[i].name = h.Name
 		}
 	}
 }
 
-// offHomeLocked returns a synthetic redirect when db's cached placement says
-// the currently connected mate does not home it — saving the round trip the
-// server would refuse anyway.
-func (fc *FailoverClient) offHomeLocked(db *FailoverDB) error {
-	if !db.resolved || len(db.homes) == 0 || fc.cur < 0 {
-		return nil
+// attach picks the mate one attempt runs on and makes sure its session is
+// up: the current mate while it serves db, else the best candidate, probing
+// open-breaker and restricted mates first (the half-open transition) and
+// dialing the session on first use. Only the bookkeeping between those
+// steps runs under fc.mu. A mate that cannot be reached costs no operation
+// anything, since nothing was sent to it.
+func (fc *FailoverClient) attach(ctx context.Context, db *FailoverDB) (*mate, error) {
+	fc.mu.Lock()
+	if fc.closed {
+		fc.mu.Unlock()
+		return nil, ErrClosed
 	}
-	if db.homesMate(fc.mates[fc.cur]) {
-		return nil
+	var order []*mate
+	first := fc.cur
+	if first != nil && fc.servesLocked(db, first) {
+		order = append(order, first)
+	} else {
+		first = nil
 	}
-	return &WrongMateError{Op: OpOpenDB, Path: db.path, Generation: db.gen,
-		Homes: append([]HomeAddr(nil), db.homes...)}
-}
-
-// connectLocked dials the best candidate mate, authenticates, and re-opens
-// every registered FailoverDB handle there. On success the breaker closes.
-func (fc *FailoverClient) connectLocked() error {
+	for _, m := range fc.candidatesLocked(db) {
+		if m != first {
+			order = append(order, m)
+		}
+	}
+	fc.mu.Unlock()
 	var firstErr error
-	for _, i := range fc.candidatesLocked() {
-		m := fc.mates[i]
-		if m.state == breakerOpen || m.restricted {
-			// Half-open: one cheap probe decides whether the mate gets a
-			// real dial. A restricted (draining) mate is skipped until a
-			// probe says it is open again.
-			info, err := fc.probeLocked(i)
+	for _, m := range order {
+		fc.mu.Lock()
+		halfOpen := m.state == breakerOpen || m.restricted
+		fc.mu.Unlock()
+		if halfOpen {
+			// One cheap probe decides whether the mate gets a real dial. A
+			// restricted (draining) mate is skipped until a probe says it is
+			// open again.
+			info, err := fc.probe(m)
+			if err == nil && info.Restricted() {
+				err = fmt.Errorf("wire: failover: mate %s is RESTRICTED", m.addr)
+			}
 			if err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
 				continue
 			}
-			if info.Restricted() {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("wire: failover: mate %s is RESTRICTED", m.addr)
-				}
-				continue
-			}
 		}
-		c, err := DialOptions(m.addr, fc.user, fc.secret, fc.opts.Client)
-		if err != nil {
-			fc.markFailLocked(i)
+		if _, err := m.c.session(ctx); err != nil {
+			if errors.Is(err, context.Canceled) {
+				return nil, err // withdrawn (a hedge won): no fault of the mate
+			}
+			fc.mu.Lock()
+			fc.markFailLocked(m)
+			if fc.cur == m {
+				// The current mate died between operations.
+				fc.stats.Failovers++
+				fc.leaveLocked(m)
+			}
+			fc.mu.Unlock()
 			if firstErr == nil || !Retryable(firstErr) {
 				firstErr = err
 			}
 			continue
 		}
-		if err := fc.rebindLocked(c); err != nil {
-			c.Close()
-			fc.markFailLocked(i)
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		// A successful dial closes the breaker but does NOT clear the
-		// failure count — a mate that accepts connections and then dies on
-		// every operation would otherwise never trip it. Only a completed
-		// operation (withFailover) proves health and resets the count.
-		fc.client, fc.cur = c, i
+		// A live session closes the breaker but does NOT clear the failure
+		// count — a mate that accepts connections and then dies on every
+		// operation would otherwise never trip it. Only a completed
+		// operation proves health and resets the count.
+		fc.mu.Lock()
+		fc.cur = m
 		m.state, m.restricted = breakerClosed, false
-		return nil
+		fc.mu.Unlock()
+		return m, nil
 	}
 	if firstErr == nil {
 		firstErr = errors.New("wire: failover: no reachable mate")
 	}
-	return fmt.Errorf("wire: failover: all %d mates unreachable: %w", len(fc.mates), firstErr)
+	return nil, fmt.Errorf("wire: failover: all %d mates unreachable: %w", len(order), firstErr)
 }
 
-// rebindLocked re-opens every registered handle on a fresh client. A
-// database missing on this mate — or homed elsewhere (placement redirect) —
-// poisons only that handle (matching the Client reconnect rules); transport
-// errors fail the whole attempt. A redirect also refreshes that handle's
-// placement cache, so its next operation re-routes instead of failing.
-func (fc *FailoverClient) rebindLocked(c *Client) error {
-	for db := range fc.dbs {
-		r, err := c.OpenDB(db.path)
-		if err != nil {
-			var se *ServerError
-			var wme *WrongMateError
-			if errors.As(err, &wme) {
-				fc.noteRecordLocked(wme.Path, wme.Generation, wme.Homes)
-				db.r, db.stale = nil, err
-				continue
-			}
-			if errors.As(err, &se) {
-				db.r, db.stale = nil, err
-				continue
-			}
-			return err
-		}
-		db.r, db.stale = r, nil
+// handle returns m's handle on path, opening it there on first use.
+func (fc *FailoverClient) handle(ctx context.Context, m *mate, path string) (*RemoteDB, error) {
+	fc.mu.Lock()
+	r := m.dbs[path]
+	fc.mu.Unlock()
+	if r != nil {
+		return r, nil
 	}
-	return nil
-}
-
-// withFailover runs fn with mate failover: shed (busy) responses, placement
-// redirects, and — for idempotent operations — transport failures move the
-// session to the next-best mate and retry, bounded by MaxFailovers.
-// Application errors never fail over. Connection attempts are biased toward
-// db's home mates (nil db means no bias). A ctx without a deadline gets
-// Client.OpBudget, so ONE user budget spans every mate switch and retry:
-// each hop runs under the same ctx and its frames carry only what remains.
-func (fc *FailoverClient) withFailover(ctx context.Context, db *FailoverDB, idempotent bool, fn func(ctx context.Context) error) error {
+	r, err := m.c.openDB(ctx, path)
+	if err != nil {
+		return nil, err
+	}
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	fc.routeHint = db
-	defer func() { fc.routeHint = nil }()
+	if won := m.dbs[path]; won != nil {
+		r.Release() // a concurrent open got there first; share its handle
+		return won, nil
+	}
+	m.dbs[path] = r
+	return r, nil
+}
+
+// settle folds one attempt's outcome on m into breakers, placement and
+// stats, and reports whether the operation may go on to another mate.
+// Application errors never fail over; shed (busy) responses and placement
+// redirects always may, since the request never executed; transport
+// failures may only for idempotent operations.
+func (fc *FailoverClient) settle(m *mate, db *FailoverDB, idempotent bool, err error) bool {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	var de *DeadlineError
+	var be *BusyError
+	var wme *WrongMateError
+	var se *ServerError
+	switch {
+	case err == nil:
+		m.fails, m.reopens = 0, 0
+		return false
+	case errors.Is(err, context.Canceled), errors.As(err, &se):
+		// The caller withdrew this op (a hedge won elsewhere), or the mate
+		// reported an application error. Either way the mate is healthy:
+		// no breaker damage, no failover.
+		return false
+	case errors.As(err, &de):
+		// The budget is spent; a failover hop would run on the same
+		// exhausted budget. Surface it — preserving the ambiguity verdict,
+		// which the caller needs for non-idempotent ops. A LOCAL mid-op
+		// expiry additionally means the transport died under the op (a
+		// stalled mate our own deadline had to cut), so count it against
+		// the mate: the breaker steers the NEXT operation elsewhere instead
+		// of feeding the stall another budget. A remote verdict or a
+		// pre-send refusal says nothing bad about the mate.
+		if !de.Remote && de.Ambiguous {
+			fc.markFailLocked(m)
+			fc.leaveLocked(m)
+		}
+		return false
+	case errors.As(err, &be):
+		// The mate shed the request before executing it: remember how
+		// loaded it is, then redirect — safe even for non-idempotent
+		// operations.
+		m.avail = be.Availability
+		m.restricted = be.State == StateRestricted
+		fc.stats.BusyRedirects++
+	case errors.As(err, &wme):
+		// Placement redirect: the request never executed. Adopt the carried
+		// home set (fresher generation wins) and drop this mate's handle,
+		// which a reconnect may have poisoned with the redirect; the next
+		// attempt routes to a home mate. Safe for non-idempotent
+		// operations, like a busy shed.
+		path := wme.Path
+		if db != nil {
+			path = db.path
+			if r := m.dbs[path]; r != nil {
+				r.Release()
+				delete(m.dbs, path)
+			}
+		}
+		fc.noteRecordLocked(path, wme.Generation, wme.Homes)
+		fc.stats.WrongMateRedirects++
+	default:
+		// Transport failure: the mate's client already spent its (short)
+		// retry/redial budget. Count it, open the path to the breaker, and
+		// fail over — unless the dead mate may have executed a
+		// non-idempotent request: then surface the failure, and let the
+		// NEXT operation find a live mate.
+		fc.markFailLocked(m)
+		fc.stats.Failovers++
+		fc.leaveLocked(m)
+		return idempotent
+	}
+	fc.leaveLocked(m)
+	return true
+}
+
+// leaveLocked stops routing new operations to m; the next attempt picks
+// afresh.
+func (fc *FailoverClient) leaveLocked(m *mate) {
+	if fc.cur == m {
+		fc.cur = nil
+	}
+}
+
+// withFailover runs fn with mate failover: each attempt picks a mate
+// (attach), runs fn on it, and settles the outcome; shed responses,
+// placement redirects and — for idempotent operations — transport failures
+// move on to the next-best mate, bounded by MaxFailovers. Mate choice is
+// biased toward db's home mates (nil db means no bias). A ctx without a
+// deadline gets Client.OpBudget, so ONE user budget spans every mate switch
+// and retry: each hop runs under the same ctx and its frames carry only
+// what remains.
+func (fc *FailoverClient) withFailover(ctx context.Context, db *FailoverDB, idempotent bool, fn func(ctx context.Context, m *mate) error) error {
 	if _, ok := ctx.Deadline(); !ok && fc.opts.Client.OpBudget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, fc.opts.Client.OpBudget)
 		defer cancel()
 	}
 	for switches := 0; ; switches++ {
-		if fc.closed {
-			return ErrClosed
-		}
 		if err := ctx.Err(); err != nil && switches > 0 {
 			if err == context.DeadlineExceeded {
 				// Budget spent between hops: every abandoned attempt ended
@@ -541,72 +596,12 @@ func (fc *FailoverClient) withFailover(ctx context.Context, db *FailoverDB, idem
 			}
 			return err
 		}
-		if fc.client == nil {
-			if err := fc.connectLocked(); err != nil {
-				return err
-			}
-		}
-		err := fn(ctx)
-		if err == nil {
-			m := fc.mates[fc.cur]
-			m.fails, m.reopens = 0, 0
-			return nil
-		}
-		var de *DeadlineError
-		var be *BusyError
-		var wme *WrongMateError
-		var se *ServerError
-		switch {
-		case errors.Is(err, context.Canceled), errors.As(err, &se):
-			// The caller withdrew this op (a hedge won elsewhere), or the
-			// mate reported an application error. Either way the mate is
-			// healthy: no breaker damage, no failover.
+		m, err := fc.attach(ctx, db)
+		if err != nil {
 			return err
-		case errors.As(err, &de):
-			// The budget is spent; a failover hop would run on the same
-			// exhausted budget. Surface it — preserving the ambiguity
-			// verdict, which the caller needs for non-idempotent ops. A
-			// LOCAL mid-op expiry additionally means the transport died
-			// under the op (a stalled mate our own deadline had to cut),
-			// so count it against the mate: the breaker steers the NEXT
-			// operation elsewhere instead of feeding the stall another
-			// budget. A remote verdict or a pre-send refusal says nothing
-			// bad about the mate.
-			if !de.Remote && de.Ambiguous {
-				fc.markFailLocked(fc.cur)
-				fc.abandonLocked()
-			}
-			return err
-		case errors.As(err, &be):
-			// The mate shed the request before executing it: remember how
-			// loaded it is, then redirect — safe even for non-idempotent
-			// operations.
-			m := fc.mates[fc.cur]
-			m.avail = be.Availability
-			m.restricted = be.State == StateRestricted
-			fc.stats.BusyRedirects++
-		case errors.As(err, &wme):
-			// Placement redirect: the request never executed. Adopt the
-			// carried home set (fresher generation wins), then reconnect —
-			// the route hint steers the dial to a home mate. Safe for
-			// non-idempotent operations, like a busy shed.
-			fc.noteRecordLocked(wme.Path, wme.Generation, wme.Homes)
-			fc.stats.WrongMateRedirects++
-		default:
-			// Transport failure: the inner client already spent its (short)
-			// retry/redial budget against this mate. Count it, open the
-			// path to the breaker, and fail over.
-			fc.markFailLocked(fc.cur)
-			fc.stats.Failovers++
-			if !idempotent {
-				// The dead mate may have executed the request; surface the
-				// failure. The NEXT operation finds a live mate.
-				fc.abandonLocked()
-				return err
-			}
 		}
-		fc.abandonLocked()
-		if switches >= fc.opts.MaxFailovers {
+		err = fn(ctx, m)
+		if !fc.settle(m, db, idempotent, err) || switches >= fc.opts.MaxFailovers {
 			return err
 		}
 	}
@@ -615,9 +610,8 @@ func (fc *FailoverClient) withFailover(ctx context.Context, db *FailoverDB, idem
 // Availability reports the connected mate's availability snapshot.
 func (fc *FailoverClient) Availability() (AvailabilityInfo, error) {
 	var info AvailabilityInfo
-	err := fc.withFailover(context.Background(), nil, true, func(ctx context.Context) error {
-		var err error
-		info, err = fc.client.availability(ctx)
+	err := fc.withFailover(context.Background(), nil, true, func(ctx context.Context, m *mate) (err error) {
+		info, err = m.c.availability(ctx)
 		return err
 	})
 	return info, err
@@ -626,57 +620,43 @@ func (fc *FailoverClient) Availability() (AvailabilityInfo, error) {
 // MailDeposit routes a mail note via whichever mate is alive. Depositing
 // is not idempotent; a mid-trip failure is surfaced, not re-sent.
 func (fc *FailoverClient) MailDeposit(n *nsf.Note) error {
-	return fc.withFailover(context.Background(), nil, false, func(ctx context.Context) error {
-		return fc.client.mailDeposit(ctx, n)
+	return fc.withFailover(context.Background(), nil, false, func(ctx context.Context, m *mate) error {
+		return m.c.mailDeposit(ctx, n)
 	})
 }
 
 // OpenDB opens a database by path, returning a handle that follows the
-// session across mate failover: after a switch, the handle is re-opened on
-// the new mate before any operation runs.
+// session across mate failover: whichever mate an operation lands on, the
+// handle is opened there on first use.
 func (fc *FailoverClient) OpenDB(path string) (*FailoverDB, error) {
-	fc.mu.Lock()
 	db := &FailoverDB{fc: fc, path: path}
-	fc.dbs[db] = struct{}{} // registered first so a failover rebinds it too
-	fc.mu.Unlock()
-	err := fc.withFailover(context.Background(), db, true, func(ctx context.Context) error {
-		if db.r != nil {
-			return nil // a connectLocked rebind already bound it
-		}
-		if db.stale != nil {
-			return db.stale // this mate lacks (or does not home) the database
-		}
-		if !db.resolved {
-			// Eager resolve on first open: one cheap pre-auth-grade RPC on
-			// the live session tells us the home set before we risk a
-			// redirect. A resolve failure is not fatal — the open itself
-			// carries the same information in its redirect.
+	err := fc.withFailover(context.Background(), db, true, func(ctx context.Context, m *mate) error {
+		fc.mu.Lock()
+		_, resolved := fc.places[path]
+		fc.mu.Unlock()
+		if !resolved {
+			// Eager resolve on first open: one cheap RPC on the live session
+			// tells us the home set before we risk a redirect. A resolve
+			// failure is not fatal — the open itself carries the same
+			// information in its redirect.
+			info, rerr := m.c.resolve(ctx, path)
+			fc.mu.Lock()
 			fc.stats.Resolves++
-			if info, rerr := fc.client.resolve(ctx, db.path); rerr == nil {
-				fc.noteRecordLocked(info.Path, info.Generation, info.Homes)
-				if !db.resolved || info.Generation >= db.gen {
-					db.gen = info.Generation
-					db.homes = append([]HomeAddr(nil), info.Homes...)
-					db.resolved = true
-				}
+			if rerr == nil {
+				fc.noteRecordLocked(path, info.Generation, info.Homes)
+			}
+			p, serves := fc.places[path], fc.servesLocked(db, m)
+			fc.mu.Unlock()
+			if !serves {
+				// With a fresh cache, redirect ourselves instead of asking a
+				// mate we know is wrong.
+				return &WrongMateError{Op: OpOpenDB, Path: path, Generation: p.gen, Homes: p.homes}
 			}
 		}
-		// With a fresh cache, redirect ourselves instead of asking a mate
-		// we know is wrong.
-		if werr := fc.offHomeLocked(db); werr != nil {
-			return werr
-		}
-		r, err := fc.client.openDB(ctx, db.path)
-		if err != nil {
-			return err
-		}
-		db.r = r
-		return nil
+		_, err := fc.handle(ctx, m, path)
+		return err
 	})
 	if err != nil {
-		fc.mu.Lock()
-		delete(fc.dbs, db)
-		fc.mu.Unlock()
 		return nil, err
 	}
 	return db, nil
@@ -688,26 +668,16 @@ func (fc *FailoverClient) OpenDB(path string) (*FailoverDB, error) {
 type FailoverDB struct {
 	fc   *FailoverClient
 	path string
-	// r is the handle on the current mate; nil while disconnected.
-	// stale is set when the current mate lacks the database.
-	// Both are guarded by fc.mu.
-	r     *RemoteDB
-	stale error
-	// Placement cache, guarded by fc.mu: the generation-stamped home set
-	// from the last resolve or redirect. resolved=false means never
-	// resolved; resolved with no homes means unplaced (any mate serves).
-	gen      uint64
-	homes    []HomeAddr
-	resolved bool
 }
 
-// Placement returns the handle's cached placement: the generation and home
-// set learned from the last resolve or redirect, and whether any resolution
-// has happened yet.
+// Placement returns the database's cached placement: the generation and
+// home set learned from the last resolve or redirect, and whether any
+// resolution has happened yet.
 func (f *FailoverDB) Placement() (gen uint64, homes []HomeAddr, resolved bool) {
 	f.fc.mu.Lock()
 	defer f.fc.mu.Unlock()
-	return f.gen, append([]HomeAddr(nil), f.homes...), f.resolved
+	p, ok := f.fc.places[f.path]
+	return p.gen, slices.Clone(p.homes), ok
 }
 
 var _ repl.Peer = (*FailoverDB)(nil)
@@ -718,38 +688,49 @@ func (f *FailoverDB) Path() string { return f.path }
 // Title returns the database title as reported by the current mate.
 func (f *FailoverDB) Title() string {
 	f.fc.mu.Lock()
-	defer f.fc.mu.Unlock()
-	if f.r == nil {
+	var r *RemoteDB
+	if cur := f.fc.cur; cur != nil {
+		r = cur.dbs[f.path]
+	}
+	f.fc.mu.Unlock()
+	if r == nil {
 		return ""
 	}
-	return f.r.Title()
+	return r.Title()
 }
 
-// Release forgets the handle: it is no longer re-opened after failover.
+// Release forgets the database's handles on every mate; a later operation
+// through any handle on the same path opens it again.
 func (f *FailoverDB) Release() {
 	f.fc.mu.Lock()
 	defer f.fc.mu.Unlock()
-	if f.r != nil {
-		f.r.Release()
+	for _, m := range f.fc.mates {
+		if r := m.dbs[f.path]; r != nil {
+			r.Release()
+			delete(m.dbs, f.path)
+		}
 	}
-	delete(f.fc.dbs, f)
 }
 
-// call runs fn under ctx against the handle on whichever mate is current,
-// with connection attempts biased toward f's home mates. Hedged reads pass a
-// context carrying the deadline they snapshotted, so primary and hedge run
-// out of the SAME budget, and cancel it to withdraw the loser.
+// on runs fn under ctx against f's handle on m, opening it there first if
+// needed.
+func on[T any](ctx context.Context, f *FailoverDB, m *mate, fn func(r *RemoteDB) (T, error)) (T, error) {
+	r, err := f.fc.handle(ctx, m, f.path)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return fn(r.with(ctx))
+}
+
+// call runs fn under ctx against f's handle on whichever mate each attempt
+// lands on, with mate choice biased toward f's home mates. Hedged reads
+// pass a context carrying the deadline they snapshotted, so primary and
+// hedge run out of the SAME budget, and cancel it to withdraw the loser.
 func call[T any](ctx context.Context, f *FailoverDB, idempotent bool, fn func(r *RemoteDB) (T, error)) (T, error) {
 	var v T
-	err := f.fc.withFailover(ctx, f, idempotent, func(ctx context.Context) error {
-		if f.stale != nil {
-			return f.stale
-		}
-		if f.r == nil {
-			return protoErrorf("failover handle not bound")
-		}
-		var err error
-		v, err = fn(f.r.with(ctx))
+	err := f.fc.withFailover(ctx, f, idempotent, func(ctx context.Context, m *mate) (err error) {
+		v, err = on(ctx, f, m, fn)
 		return err
 	})
 	return v, err
@@ -767,10 +748,10 @@ func (f *FailoverDB) do(idempotent bool, fn func(r *RemoteDB) error) error {
 // hedges are fine, sustained hedging is capped at the configured fraction.
 const hedgeBurst = 3.0
 
-// hedgeDelayLocked derives the delay before a hedge fires (fc.hmu held):
-// the fixed HedgeDelay when configured, else latency EWMA + 3 x mean
-// deviation — reads slower than that are in the distribution's far tail,
-// which is exactly when a second mate is likely to answer first.
+// hedgeDelayLocked derives the delay before a hedge fires: the fixed
+// HedgeDelay when configured, else latency EWMA + 3 x mean deviation —
+// reads slower than that are in the distribution's far tail, which is
+// exactly when a second mate is likely to answer first.
 func (fc *FailoverClient) hedgeDelayLocked() time.Duration {
 	if fc.opts.HedgeDelay > 0 {
 		return fc.opts.HedgeDelay
@@ -788,114 +769,51 @@ func (fc *FailoverClient) hedgeDelayLocked() time.Duration {
 // mean-deviation trackers (TCP-RTT-style gains: 1/8 and 1/4).
 func (fc *FailoverClient) recordReadLatency(d time.Duration) {
 	us := d.Microseconds()
-	fc.hmu.Lock()
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
 	if fc.latEwmaUs == 0 {
 		fc.latEwmaUs = us
-	} else {
-		diff := us - fc.latEwmaUs
-		fc.latEwmaUs += diff / 8
-		if diff < 0 {
-			diff = -diff
-		}
-		fc.latDevUs += (diff - fc.latDevUs) / 4
+		return
 	}
-	fc.hmu.Unlock()
+	diff := us - fc.latEwmaUs
+	fc.latEwmaUs += diff / 8
+	if diff < 0 {
+		diff = -diff
+	}
+	fc.latDevUs += (diff - fc.latDevUs) / 4
 }
 
 // takeHedgeToken accrues HedgeRateCap tokens for an eligible read and
-// tries to spend one; false means the rate cap says no hedge this time.
+// tries to spend one on a hedge, counting it; false means the rate cap
+// says no hedge this time.
 func (fc *FailoverClient) takeHedgeToken() bool {
-	fc.hmu.Lock()
-	defer fc.hmu.Unlock()
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
 	fc.hTokens = min(fc.hTokens+fc.opts.HedgeRateCap, hedgeBurst)
 	if fc.hTokens < 1 {
 		return false
 	}
 	fc.hTokens--
+	fc.stats.Hedges++
 	return true
 }
 
-// hedgeExec runs one read against a cached second-mate session under ctx,
-// which carries the primary's deadline. alts lists acceptable hedge
-// addresses (never the primary's). The session is multiplexed, so hedges
-// from concurrent reads share it.
-func (fc *FailoverClient) hedgeExec(ctx context.Context, path string, alts []string, fn func(r *RemoteDB) error) error {
-	fc.hmu.Lock()
-	// Reuse the cached hedge session only while it points at an acceptable
-	// mate; a stale one (e.g. now the primary) is dropped.
-	if fc.hClient != nil && !slices.Contains(alts, fc.hAddr) {
-		fc.dropHedgeLocked(fc.hClient)
-	}
-	if fc.hClient == nil {
-		c, err := DialOptions(alts[0], fc.user, fc.secret, fc.opts.Client)
-		if err != nil {
-			fc.hmu.Unlock()
-			return err
-		}
-		fc.hClient, fc.hAddr = c, alts[0]
-	}
-	hc := fc.hClient
-	rdb := fc.hDBs[path]
-	fc.hmu.Unlock()
-	if rdb == nil {
-		r, err := hc.openDB(ctx, path)
-		if err != nil {
-			return err
-		}
-		fc.hmu.Lock()
-		if fc.hClient == hc {
-			fc.hDBs[path] = r
-		}
-		fc.hmu.Unlock()
-		rdb = r
-	}
-	err := fn(rdb.with(ctx))
-	if err != nil && Retryable(err) {
-		// Transport fault: the cached session is suspect; drop it so the
-		// next hedge dials fresh (possibly a different mate).
-		fc.hmu.Lock()
-		fc.dropHedgeLocked(hc)
-		fc.hmu.Unlock()
-	}
-	return err
-}
-
-// dropHedgeLocked closes the cached hedge session if it is still hc
-// (fc.hmu held).
-func (fc *FailoverClient) dropHedgeLocked(hc *Client) {
-	if hc != nil && fc.hClient == hc {
-		hc.Close()
-		fc.hClient = nil
-		fc.hDBs = make(map[string]*RemoteDB)
-	}
-}
-
-// hedgeSnapshot captures, under fc.mu, everything a hedged read needs
-// before launching its primary goroutine: the operation deadline and the
-// alternate mate addresses. ok is false when hedging cannot apply (off, no
-// budget, no second mate, no live session yet).
-func (fc *FailoverClient) hedgeSnapshot(db *FailoverDB) (deadline time.Time, alts []string, ok bool) {
+// hedgePlan picks the mate a hedged read on db would race: the best
+// healthy mate serving db other than the current one, and the delay before
+// the hedge fires. ok is false when hedging cannot apply (off, no budget,
+// no current mate, no second mate).
+func (fc *FailoverClient) hedgePlan(db *FailoverDB) (h *mate, delay time.Duration, ok bool) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	if !fc.opts.HedgeReads || fc.closed || fc.client == nil || fc.cur < 0 || fc.opts.Client.OpBudget <= 0 {
-		return time.Time{}, nil, false
+	if !fc.opts.HedgeReads || fc.closed || fc.cur == nil || fc.opts.Client.OpBudget <= 0 {
+		return nil, 0, false
 	}
-	deadline = time.Now().Add(fc.opts.Client.OpBudget)
-	cur := fc.mates[fc.cur].addr
-	// Candidate order honors breakers and availability; home-mate bias
-	// applies when the database is placed.
-	fc.routeHint = db
-	order := fc.candidatesLocked()
-	fc.routeHint = nil
-	for _, i := range order {
-		if a := fc.mates[i].addr; a != cur {
-			alts = append(alts, a)
+	for _, m := range fc.candidatesLocked(db) {
+		if m != fc.cur && m.state == breakerClosed && !m.restricted && fc.servesLocked(db, m) {
+			return m, fc.hedgeDelayLocked(), true
 		}
 	}
-	if len(alts) == 0 {
-		return time.Time{}, nil, false
-	}
-	return deadline, alts, true
+	return nil, 0, false
 }
 
 // hedgeResult carries one racer's outcome.
@@ -905,18 +823,18 @@ type hedgeResult[T any] struct {
 	hedge bool
 }
 
-// hedgedRead runs fn as a hedged read: the primary mate gets a head start
-// of one hedge delay; if it has not answered by then (and the rate cap
-// allows), the same read runs against a second mate and the first success
-// wins. The loser's request is withdrawn in-band — its context is
-// cancelled, which sends OpCancel and leaves its connection up — so neither
-// mate keeps working for a caller that already has its answer. fn must be
-// idempotent and must tolerate running concurrently on two different
-// RemoteDBs.
+// hedgedRead runs fn as a hedged read: the primary gets a head start of one
+// hedge delay; if it has not answered by then (and the rate cap allows),
+// the same read runs as one more attempt on a second mate — on that mate's
+// own session and handle — and the first success wins. The loser's request
+// is withdrawn in-band — its context is cancelled, which sends OpCancel and
+// leaves its connection up — so neither mate keeps working for a caller
+// that already has its answer. fn must be idempotent and must tolerate
+// running concurrently on two different RemoteDBs.
 func hedgedRead[T any](f *FailoverDB, fn func(r *RemoteDB) (T, error)) (T, error) {
 	fc := f.fc
 	start := time.Now()
-	deadline, alts, ok := fc.hedgeSnapshot(f)
+	h, delay, ok := fc.hedgePlan(f)
 	if !ok {
 		v, err := call(context.Background(), f, true, fn)
 		if err == nil {
@@ -924,18 +842,17 @@ func hedgedRead[T any](f *FailoverDB, fn func(r *RemoteDB) (T, error)) (T, error
 		}
 		return v, err
 	}
+	deadline := start.Add(fc.opts.Client.OpBudget)
 	ch := make(chan hedgeResult[T], 2)
 	pctx, pcancel := context.WithDeadline(context.Background(), deadline)
-	defer pcancel()
+	defer pcancel() // withdraws a primary that lost to the hedge
 	hctx, hcancel := context.WithDeadline(context.Background(), deadline)
 	defer hcancel() // withdraws a hedge that lost to the primary
 	go func() {
 		v, err := call(pctx, f, true, fn)
 		ch <- hedgeResult[T]{v: v, err: err}
 	}()
-	fc.hmu.Lock()
-	timer := time.NewTimer(fc.hedgeDelayLocked())
-	fc.hmu.Unlock()
+	timer := time.NewTimer(delay)
 	defer timer.Stop()
 	var first hedgeResult[T]
 	racers := 1
@@ -944,13 +861,9 @@ func hedgedRead[T any](f *FailoverDB, fn func(r *RemoteDB) (T, error)) (T, error
 	case <-timer.C:
 		if fc.takeHedgeToken() {
 			racers++
-			fc.hedges.Add(1)
 			go func() {
-				var v T
-				err := fc.hedgeExec(hctx, f.path, alts, func(r *RemoteDB) (err error) {
-					v, err = fn(r)
-					return err
-				})
+				v, err := on(hctx, f, h, fn)
+				fc.settle(h, f, true, err)
 				ch <- hedgeResult[T]{v: v, err: err, hedge: true}
 			}()
 		}
@@ -962,7 +875,6 @@ func hedgedRead[T any](f *FailoverDB, fn func(r *RemoteDB) (T, error)) (T, error
 		// prefer the primary's error (it carries failover context and
 		// ambiguity verdicts; the hedge was best-effort).
 		second := <-ch
-		racers--
 		if second.err == nil || first.hedge {
 			first = second
 		}
@@ -970,14 +882,9 @@ func hedgedRead[T any](f *FailoverDB, fn func(r *RemoteDB) (T, error)) (T, error
 	switch {
 	case first.err != nil:
 	case first.hedge:
-		fc.hedgeWins.Add(1)
-		if racers > 0 {
-			// Withdraw the primary and drain its result, so its goroutine
-			// is done with fc.mu before we return; the cancel makes this
-			// prompt.
-			pcancel()
-			<-ch
-		}
+		fc.mu.Lock()
+		fc.stats.HedgeWins++
+		fc.mu.Unlock()
 	default:
 		fc.recordReadLatency(time.Since(start))
 	}

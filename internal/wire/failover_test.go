@@ -179,3 +179,73 @@ func TestFailoverMidSessionRebindsHandles(t *testing.T) {
 		t.Errorf("stats = %+v, want Failovers > 0", st)
 	}
 }
+
+// TestFailoverOpsDoNotWaitBehindParkedOp: the client lock guards only
+// bookkeeping, never a round trip, so one Get parked on a mate holds up
+// nobody: a second Get, Stats and Current on the same client each return
+// at once.
+func TestFailoverOpsDoNotWaitBehindParkedOp(t *testing.T) {
+	note := nsf.NewNote(nsf.ClassDocument)
+	var parked atomic.Bool
+	addr := scriptServer(t, func(c *scriptConn, opNum int, payload []byte) bool {
+		switch Op(payload[0]) {
+		case OpOpenDB:
+			return openOK(c, payload)
+		case OpGetNote:
+			resp := NewResp(OpGetNote, StatusOK).Note(note).Bytes()
+			if parked.CompareAndSwap(false, true) {
+				// Answer the first Get late, from the side, so the script
+				// goes on serving the requests behind it.
+				conn, id := c.Conn, c.id
+				go func() {
+					time.Sleep(500 * time.Millisecond)
+					writeFrame(conn, Header{ID: id}, resp)
+				}()
+				return true
+			}
+			return c.reply(resp)
+		default:
+			return c.reply(NewResp(Op(payload[0]), StatusError).Str("no").Bytes())
+		}
+	})
+	opts := failoverTestOpts()
+	opts.Client.OpTimeout = 2 * time.Second
+	fc, err := DialFailover([]string{addr}, "u", "s", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	db, err := fc.OpenDB("x.nsf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := make(chan error, 1)
+	go func() {
+		_, err := db.Get(note.OID.UNID)
+		slow <- err
+	}()
+	for !parked.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	prompt := func(what string, fn func() error) {
+		t.Helper()
+		start := time.Now()
+		if err := fn(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+			t.Errorf("%s took %v behind the parked Get, want under 100ms", what, elapsed)
+		}
+	}
+	prompt("second Get", func() error { _, err := db.Get(note.OID.UNID); return err })
+	prompt("Stats", func() error { fc.Stats(); return nil })
+	prompt("Current", func() error {
+		if cur, ok := fc.Current(); !ok || cur != addr {
+			return errors.New("no current mate")
+		}
+		return nil
+	})
+	if err := <-slow; err != nil {
+		t.Fatalf("parked Get: %v", err)
+	}
+}
